@@ -1,6 +1,6 @@
 """From-scratch probabilistic binary classifiers on dense 0/1 feature matrices.
 
-Three learners share the score(x) -> [0, 1] contract:
+Three learners share the score_matrix(X) -> [0, 1]^n contract:
   * logistic linear model, full-batch gradient descent with L2 penalty
   * CART-style decision tree with Gini splits and Laplace-smoothed leaves
   * bagged random forest of such trees with per-node feature subsampling
@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .features import DimensionError, SparseBinaryVector, densify
+from .features import DimensionError
 
 FORMAT_VERSION = "pudroid-model/1"
 
@@ -92,15 +92,6 @@ class ProbabilisticClassifier:
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def score(self, x: SparseBinaryVector) -> float:
-        dense = densify(x, self.dimension).astype(np.float64)
-        return float(self.score_matrix(dense[None, :])[0])
-
-    def classify(self, x: SparseBinaryVector, threshold: float = 0.5) -> int:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
-        return int(self.score(x) > threshold)
 
     def _check_dim(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -273,19 +264,6 @@ class TreeModel(ProbabilisticClassifier):
         X = self._check_dim(X)
         out = np.empty(X.shape[0])
         _score_into(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def split_features(self) -> list[int]:
-        """Feature indices of internal nodes in pre-order (structure fingerprint)."""
-        out: list[int] = []
-
-        def walk(node: "_Leaf | _Split") -> None:
-            if isinstance(node, _Split):
-                out.append(node.feature)
-                walk(node.absent)
-                walk(node.present)
-
-        walk(self.root)
         return out
 
     def to_dict(self) -> dict:

@@ -42,8 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PUDROID_SEED", "0"))
+def _seed_from_env() -> int:
+    raw = os.environ.get("PUDROID_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"PUDROID_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -56,7 +60,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-trees", type=int, default=100)
     p.add_argument("--features-per-split", default="sqrt")
     p.add_argument("--no-bootstrap", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (reserved)")
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -72,14 +75,18 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _ingest(args: argparse.Namespace) -> PUDataset:
+    manifest = load_manifest(args.manifest)
+    resolver = load_resolver_map(args.ipmap)
+    return build_dataset(manifest, resolver, Path(args.manifest).parent)
+
+
 def _load_input_dataset(args: argparse.Namespace) -> PUDataset:
     if args.dataset:
         return load_dataset(args.dataset)
     if not (args.manifest and args.ipmap):
         raise UsageError("provide either --dataset or both --manifest and --ipmap")
-    manifest = load_manifest(args.manifest)
-    resolver = load_resolver_map(args.ipmap)
-    return build_dataset(manifest, resolver, Path(args.manifest).parent)
+    return _ingest(args)
 
 
 def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
@@ -106,14 +113,12 @@ def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
             spec_kwargs[key] = value.lower() in ("1", "true", "yes")
         else:
             spec_kwargs[key] = int(value)
-    for key in ("n_positive", "n_negative", "dimension", "signal_features", "n_families"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            spec_kwargs[key] = flag
-    if args.flip_noise is not None:
-        spec_kwargs["flip_noise"] = args.flip_noise
-    if args.label_frequency_c is not None:
-        spec_kwargs["label_frequency_c"] = args.label_frequency_c
+    for key in (
+        "n_positive", "n_negative", "dimension", "signal_features", "n_families",
+        "flip_noise", "label_frequency_c",
+    ):
+        if getattr(args, key) is not None:
+            spec_kwargs[key] = getattr(args, key)
     if args.family_exclusive:
         spec_kwargs["family_exclusive"] = True
     spec_kwargs["seed"] = args.seed
@@ -146,7 +151,7 @@ def build_parser() -> _Parser:
     p_clean.add_argument("--rescale-trigger", type=float, default=0.7)
     p_clean.add_argument("--rescale-target", type=float, default=1.0)
     p_clean.add_argument("--discard", action="store_true", help="drop contaminants instead of relabeling")
-    p_clean.add_argument("--seed", type=int, default=_default_seed())
+    p_clean.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
     p_clean.add_argument("--out", required=True)
     p_clean.add_argument("--cleaned-out", default=None, help="write the cleaned dataset here")
     _add_train_flags(p_clean)
@@ -171,7 +176,7 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--ratio", type=float, default=8.0)
     p_exp.add_argument("--holdout-family", type=int, default=None)
     p_exp.add_argument("--split-fraction", type=float, default=0.2)
-    p_exp.add_argument("--seed", type=int, default=_default_seed())
+    p_exp.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
     p_exp.add_argument("--out", required=True)
     _add_train_flags(p_exp)
 
@@ -183,10 +188,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    manifest = load_manifest(args.manifest)
-    resolver = load_resolver_map(args.ipmap)
-    ds = build_dataset(manifest, resolver, Path(args.manifest).parent)
-    save_dataset(ds, args.out)
+    save_dataset(_ingest(args), args.out)
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
@@ -225,11 +227,7 @@ def _cmd_clean(args: argparse.Namespace) -> None:
     payload = {
         "schema": CLEAN_SCHEMA,
         "contaminant_ids": list(result.contaminant_ids),
-        "diagnostics": {
-            "e": result.diagnostics.e,
-            "rescale": result.diagnostics.rescale,
-            "mean_g_over_pm": result.diagnostics.mean_g_over_pm,
-        },
+        "diagnostics": dataclasses.asdict(result.diagnostics),
         "config": {
             "seed": args.seed,
             "split_fraction": args.split_fraction,
@@ -257,6 +255,8 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         )
     elif args.protocol == "rq2":
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
+        if not ratios:
+            raise UsageError("--ratios needs at least one ratio")
         report = protocol_rq2(
             base, ratios, cfg, seed=args.seed, split_fraction=args.split_fraction
         )
@@ -307,6 +307,8 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _seed_from_env()
         _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,25 +24,44 @@ def dataset_to_dict(ds: PUDataset) -> dict:
     }
 
 
-def dataset_from_dict(data: dict) -> PUDataset:
-    if data.get("schema") != DATASET_SCHEMA:
-        raise ValueError(f"unsupported dataset schema: {data.get('schema')!r}")
-    space = FeatureSpace(
-        tuple((name, FeatureKind(kind)) for name, kind in data["features"])
-    )
+def _at(container, key, kind: type, path: str):
+    """container[key] if it exists and is a `kind`; else a ValueError naming its JSON path."""
+    path += f".{key}" if isinstance(key, str) else f"[{key}]"
+    try:
+        value = container[key]
+    except (KeyError, IndexError):
+        raise ValueError(f"dataset JSON: missing {path}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"dataset JSON: {path} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
-    def sample(entry: dict, discovery: int) -> AppSample:
+
+def dataset_from_dict(data: dict) -> PUDataset:
+    """Inverse of dataset_to_dict; a missing key or a wrong type raises a
+    ValueError naming its JSON path ($ is the document root)."""
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != DATASET_SCHEMA:
+        raise ValueError(f"unsupported dataset schema: {schema!r}")
+
+    def feature(pairs: list, i: int) -> tuple[str, FeatureKind]:
+        pair, path = _at(pairs, i, list, "$.features"), f"$.features[{i}]"
+        return _at(pair, 0, str, path), FeatureKind(_at(pair, 1, str, path))
+
+    def sample(entries: list, i: int, path: str, discovery: int) -> AppSample:
+        entry = _at(entries, i, dict, path)
+        path += f"[{i}]"
+        on = _at(entry, "on", list, path)
+        if not all(type(j) is int for j in on):
+            raise ValueError(f"dataset JSON: {path}.on must hold only integers")
         return AppSample(
-            entry["id"],
-            SparseBinaryVector(tuple(int(i) for i in entry["on"])),
-            discovery,
-            entry.get("hidden"),
+            _at(entry, "id", str, path), SparseBinaryVector(tuple(on)), discovery, entry.get("hidden")
         )
 
+    pairs, pos, unl = (_at(data, key, list, "$") for key in ("features", "positives", "unlabeled"))
     return PUDataset(
-        space,
-        tuple(sample(e, 1) for e in data["positives"]),
-        tuple(sample(e, 0) for e in data["unlabeled"]),
+        FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs)))),
+        tuple(sample(pos, i, "$.positives", 1) for i in range(len(pos))),
+        tuple(sample(unl, i, "$.unlabeled", 0) for i in range(len(unl))),
     )
 
 

@@ -6,7 +6,7 @@ threads. No I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -39,12 +39,7 @@ class FeatureSpace:
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[str, FeatureKind]]) -> "FeatureSpace":
-        uniq = set(pairs)
-        ordered = tuple(sorted(uniq, key=lambda p: (p[1].value, p[0])))
-        names = [n for n, _ in ordered]
-        if len(set(names)) != len(names):
-            raise DatasetError("feature names must be unique within a space")
-        return cls(ordered)
+        return cls(tuple(sorted(set(pairs), key=lambda p: (p[1].value, p[0]))))
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.features]
@@ -57,11 +52,6 @@ class FeatureSpace:
 
     def index_of(self) -> dict[tuple[str, FeatureKind], int]:
         return {pair: i for i, pair in enumerate(self.features)}
-
-
-def kind_partition(space: FeatureSpace, kind: FeatureKind) -> list[int]:
-    """Indices of all features of the given kind, in space order."""
-    return [i for i, (_, k) in enumerate(space.features) if k is kind]
 
 
 @dataclass(frozen=True)
@@ -80,25 +70,6 @@ class SparseBinaryVector:
             raise DimensionError("negative feature index")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise DimensionError("indices must be strictly increasing")
-
-
-def densify(v: SparseBinaryVector, d: int) -> np.ndarray:
-    """Dense 0/1 array of length d; errors if any index is out of range."""
-    out = np.zeros(d, dtype=np.int8)
-    if v.indices:
-        idx = np.asarray(v.indices)
-        if idx[-1] >= d:
-            raise DimensionError(f"index {idx[-1]} out of range for dimension {d}")
-        out[idx] = 1
-    return out
-
-
-def sparsify(dense: Sequence[int]) -> SparseBinaryVector:
-    """Inverse of densify for valid 0/1 arrays."""
-    arr = np.asarray(dense)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("dense vector must contain only 0 and 1")
-    return SparseBinaryVector(tuple(int(i) for i in np.flatnonzero(arr)))
 
 
 @dataclass(frozen=True)
@@ -154,13 +125,11 @@ class PUDataset:
     def samples(self) -> tuple[AppSample, ...]:
         return self.positives + self.unlabeled
 
-    def dense_matrix(self, samples: Optional[Sequence[AppSample]] = None) -> np.ndarray:
-        """Stack samples (default: P then U) into an (n, d) 0/1 matrix."""
-        if samples is None:
-            samples = self.samples
-        d = self.space.dimension
-        out = np.zeros((len(samples), d), dtype=np.int8)
-        for row, s in enumerate(samples):
-            if s.features.indices:
-                out[row, list(s.features.indices)] = 1
-        return out
+
+def dense_matrix(samples: Sequence[AppSample], dimension: int) -> np.ndarray:
+    """(n, dimension) float64 0/1 rows: the one sparse-to-dense boundary."""
+    out = np.zeros((len(samples), dimension), dtype=np.float64)
+    for row, s in enumerate(samples):
+        if s.features.indices:
+            out[row, list(s.features.indices)] = 1.0
+    return out

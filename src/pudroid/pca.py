@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import PUDataset
+from .features import PUDataset, dense_matrix
 
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 1000
@@ -64,7 +64,7 @@ def pca_project(ds: PUDataset, components: int = 2) -> PcaProjection:
     samples = ds.samples
     if not samples:
         raise ValueError("cannot project an empty dataset")
-    X = ds.dense_matrix().astype(np.float64)
+    X = dense_matrix(samples, ds.space.dimension)
     X = X - X.mean(axis=0)
     if not np.any(X):
         rows = tuple(

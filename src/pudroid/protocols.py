@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Learner, TrainConfig, train
-from .features import AppSample, PUDataset
+from .features import AppSample, PUDataset, dense_matrix
 from .metrics import Metrics, compute_metrics
-from .pu import clean_and_retrain, dense_matrix, training_arrays
+from .pu import clean_and_retrain, training_arrays
 from .report import ExperimentReport, ReportRow
 from .synthetic import SyntheticData
 
@@ -58,8 +58,25 @@ def split_test(
     return pos_tr, neg_tr, pos_te + neg_te
 
 
+def _held_out(base: SyntheticData, seed: int) -> tuple[list, list, np.ndarray, list]:
+    """(training true positives, training true negatives, X_test, y_test)."""
+    pos_tr, neg_tr, test = split_test(base, seed)
+    X_test = dense_matrix(test, base.dataset.space.dimension)
+    return pos_tr, neg_tr, X_test, [s.hidden for s in test]
+
+
 def _as_unlabeled(s: AppSample) -> AppSample:
     return AppSample(s.id, s.features, 0, s.hidden)
+
+
+def _move_positives(
+    base: SyntheticData, pos_tr: list, neg_tr: list, k: int, rng: np.random.Generator
+) -> PUDataset:
+    """Training set with k random true positives hidden in U after the negatives."""
+    moved_idx = set(rng.permutation(len(pos_tr))[:k].tolist())
+    p_group = tuple(s for i, s in enumerate(pos_tr) if i not in moved_idx)
+    moved = tuple(_as_unlabeled(s) for i, s in enumerate(pos_tr) if i in moved_idx)
+    return PUDataset(base.dataset.space, p_group, tuple(neg_tr) + moved)
 
 
 def _evaluate(scores: np.ndarray, truth: Sequence[int]) -> Metrics:
@@ -93,21 +110,15 @@ def protocol_rq1(
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Move step*N random training positives into the unlabeled group, N = 0..iterations."""
-    pos_tr, neg_tr, test = split_test(base, seed)
+    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
     if step * iterations > len(pos_tr):
         raise ProtocolError(
             f"cannot move {step * iterations} positives; only {len(pos_tr)} available"
         )
-    d = base.dataset.space.dimension
-    X_test = dense_matrix(test, d)
-    y_test = [s.hidden for s in test]
 
     rows = []
     for n in range(iterations + 1):
-        moved_idx = set(_rng(seed, 1, n).permutation(len(pos_tr))[: step * n].tolist())
-        p_group = tuple(s for i, s in enumerate(pos_tr) if i not in moved_idx)
-        moved = tuple(_as_unlabeled(s) for i, s in enumerate(pos_tr) if i in moved_idx)
-        ds = PUDataset(base.dataset.space, p_group, tuple(neg_tr) + moved)
+        ds = _move_positives(base, pos_tr, neg_tr, step * n, _rng(seed, 1, n))
         pu_m, npu_m = _run_pair(
             ds, cfg, X_test, y_test, split_fraction, _child_seed(seed, 2, n)
         )
@@ -126,10 +137,7 @@ def protocol_rq2(
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Contaminate U with r times as many hidden positives as remain in P."""
-    pos_tr, neg_tr, test = split_test(base, seed)
-    d = base.dataset.space.dimension
-    X_test = dense_matrix(test, d)
-    y_test = [s.hidden for s in test]
+    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
 
     rows = []
     for ci, ratio in enumerate(ratios):
@@ -138,10 +146,7 @@ def protocol_rq2(
         k = int(round(len(pos_tr) * ratio / (1.0 + ratio)))
         if len(pos_tr) - k < 1:
             raise ProtocolError(f"ratio {ratio} leaves no positives in P")
-        moved_idx = set(_rng(seed, 1, ci).permutation(len(pos_tr))[:k].tolist())
-        p_group = tuple(s for i, s in enumerate(pos_tr) if i not in moved_idx)
-        moved = tuple(_as_unlabeled(s) for i, s in enumerate(pos_tr) if i in moved_idx)
-        ds = PUDataset(base.dataset.space, p_group, tuple(neg_tr) + moved)
+        ds = _move_positives(base, pos_tr, neg_tr, k, _rng(seed, 1, ci))
         for learner in learners:
             cfg_l = replace(cfg, learner=learner)
             pu_m, npu_m = _run_pair(
@@ -175,10 +180,7 @@ def protocol_rq3(
     else:
         targets = families
 
-    pos_tr, neg_tr, test = split_test(base, seed)
-    d = base.dataset.space.dimension
-    X_test = dense_matrix(test, d)
-    y_test = [s.hidden for s in test]
+    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
     cfg_lin = replace(cfg, learner=Learner.LINEAR)
 
     rows = []
@@ -228,10 +230,7 @@ def protocol_rq4(
     """
     if ratio < 0:
         raise ProtocolError(f"ratio must be non-negative, got {ratio}")
-    pos_tr, neg_tr, test = split_test(base, seed)
-    d = base.dataset.space.dimension
-    X_test = dense_matrix(test, d)
-    y_test = [s.hidden for s in test]
+    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
 
     if ratio == 0:
         m, k = len(pos_tr), 0
@@ -261,7 +260,7 @@ def protocol_rq4(
     # NPU sees the corrupted original labels, in the same row order as the
     # swapped dataset so the clean case degenerates identically
     npu_samples = benign_rest + malware + mislabeled
-    X_npu = dense_matrix(npu_samples, d)
+    X_npu = dense_matrix(npu_samples, base.dataset.space.dimension)
     z_npu = np.array([0] * len(benign_rest) + [1] * (len(malware) + len(mislabeled)))
 
     rows = []

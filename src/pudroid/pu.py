@@ -17,21 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ProbabilisticClassifier, TrainConfig, train
-from .features import AppSample, PUDataset, SparseBinaryVector
+from .features import AppSample, PUDataset, dense_matrix
 
 E_EPSILON = 1e-6
 
 
 class SplitError(ValueError):
     pass
-
-
-def dense_matrix(samples: Sequence[AppSample], dimension: int) -> np.ndarray:
-    out = np.zeros((len(samples), dimension), dtype=np.float64)
-    for row, s in enumerate(samples):
-        if s.features.indices:
-            out[row, list(s.features.indices)] = 1.0
-    return out
 
 
 def training_arrays(ds: PUDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +105,6 @@ class PUModel:
     def g_matrix(self, X: np.ndarray) -> np.ndarray:
         return np.minimum(1.0, self.rescale * self.base.score_matrix(X) / self.e)
 
-    def g_score(self, x: SparseBinaryVector) -> float:
-        return float(min(1.0, self.rescale * self.base.score(x) / self.e))
-
 
 def apply_rescale_heuristic(
     pu: PUModel,
@@ -182,11 +171,9 @@ def clean_and_retrain(
     X, y = training_arrays(split.train_part)
     base = train(X, y, cfg)
     est = estimate_e(base, split.positive_validation)
+    # mean g over P' before any rescale, from the f scores e was estimated on
+    mu = float(np.mean(np.minimum(1.0, np.asarray(est.per_sample_scores) / est.e)))
     pu = PUModel(base, est.e)
-    pu_before = pu
-    mu = float(
-        np.mean(pu_before.g_matrix(dense_matrix(split.positive_validation, base.dimension)))
-    )
     pu = apply_rescale_heuristic(
         pu, split.positive_validation, target=rescale_target, trigger=rescale_trigger
     )

@@ -52,16 +52,12 @@ class OccurrenceCounts:
 
 def count_occurrences(ds: PUDataset) -> OccurrenceCounts:
     """Per-feature occurrence counts over P and over U."""
-    d = ds.space.dimension
-    cp = np.zeros(d, dtype=np.int64)
-    cu = np.zeros(d, dtype=np.int64)
-    for s in ds.positives:
-        for i in s.features.indices:
-            cp[i] += 1
-    for s in ds.unlabeled:
-        for i in s.features.indices:
-            cu[i] += 1
-    return OccurrenceCounts(tuple(int(c) for c in cp), tuple(int(c) for c in cu))
+
+    def count(group: Sequence[AppSample]) -> tuple[int, ...]:
+        on = np.array([i for s in group for i in s.features.indices], dtype=np.int64)
+        return tuple(np.bincount(on, minlength=ds.space.dimension).tolist())
+
+    return OccurrenceCounts(count(ds.positives), count(ds.unlabeled))
 
 
 def compute_thresholds(ds: PUDataset, eta: float = 2.0) -> SelectionThresholds:

@@ -23,6 +23,7 @@ from pudroid.classifiers import (
     logistic_loss_and_grad,
 )
 from pudroid.cli import run
+from pudroid.features import dense_matrix
 from pudroid.metrics import rank_auc
 from pudroid.protocols import protocol_rq2, protocol_rq4
 from pudroid.pu import (
@@ -96,7 +97,7 @@ def test_c02_adjusted_score_recovers_true_posterior():
                 n_positive=500, n_negative=1500, label_frequency_c=0.5, seed=seed + 1000
             )
         )
-        Xh = held_out.dataset.dense_matrix().astype(float)
+        Xh = dense_matrix(held_out.dataset.samples, held_out.dataset.space.dimension).astype(float)
         mads.append(float(np.mean(np.abs(pu.g_matrix(Xh) - analytic_posterior(spec, Xh)))))
     elapsed = time.monotonic() - start
     median = float(np.median(mads))
@@ -275,7 +276,7 @@ def test_c09_feature_selection_matches_brute_force():
         d = int(rng.integers(1, 201))
         ds = random_dataset(rng, n_p, n_u, d, density=float(rng.uniform(0.02, 0.4)))
         th = compute_thresholds(ds, eta=float(rng.uniform(1.0, 5.0)))
-        dense = ds.dense_matrix()
+        dense = dense_matrix(ds.samples, d)
         count_p = dense[: len(ds.positives)].sum(axis=0)
         count_u = dense[len(ds.positives) :].sum(axis=0)
         expected = [
@@ -435,7 +436,7 @@ def test_c13_labeling_is_independent_of_features():
     )
     data = generate_synthetic(spec)
     positives = [s for s in data.dataset.samples if s.hidden == 1]
-    X = data.dataset.dense_matrix(positives).astype(float)
+    X = dense_matrix(positives, spec.dimension).astype(float)
     z = np.array([s.discovery for s in positives], dtype=float)
     zc = z - z.mean()
     Xc = X - X.mean(axis=0)

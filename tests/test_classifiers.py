@@ -16,7 +16,7 @@ from pudroid.classifiers import (
     logistic_loss_and_grad,
     train,
 )
-from pudroid.features import DimensionError, SparseBinaryVector
+from pudroid.features import DimensionError
 
 
 def _xor_free_problem(rng, n=80, d=6):
@@ -26,10 +26,24 @@ def _xor_free_problem(rng, n=80, d=6):
     return X, y
 
 
+def _split_order(model: TreeModel) -> list[int]:
+    """Feature indices of the serialized tree's internal nodes, in pre-order."""
+    out: list[int] = []
+
+    def walk(node: dict) -> None:
+        if "feature" in node:
+            out.append(node["feature"])
+            walk(node["absent"])
+            walk(node["present"])
+
+    walk(model.to_dict()["root"])
+    return out
+
+
 class TestLinear:
     def test_zero_model_scores_half(self):
         model = LinearModel(np.zeros(3), 0.0)
-        assert model.score(SparseBinaryVector((1,))) == 0.5
+        assert model.score_matrix(np.array([[0.0, 1.0, 0.0]])).tolist() == [0.5]
 
     def test_fit_separable(self):
         rng = np.random.default_rng(0)
@@ -70,7 +84,7 @@ class TestTree:
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=3, min_leaf=1))
-        assert model.split_features() == [0]
+        assert _split_order(model) == [0]
         # each side holds 2 samples: (0+1)/(2+2) and (2+1)/(2+2)
         assert model.score_matrix(X).tolist() == [0.25, 0.25, 0.75, 0.75]
 
@@ -84,7 +98,7 @@ class TestTree:
         y = np.array([0, 0, 0, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=3, min_leaf=2))
         # the only split would isolate a single sample
-        assert model.split_features() == []
+        assert _split_order(model) == []
         assert model.score_matrix(X).tolist() == [(1 + 1) / (4 + 2)] * 4
 
     def test_split_ties_go_to_lowest_feature_index(self):
@@ -93,13 +107,13 @@ class TestTree:
         X = np.column_stack([col, col, col])  # identical candidates
         y = col.astype(int)
         model = TreeModel.fit(X, y, TreeParams(max_depth=2, min_leaf=1))
-        assert model.split_features() == [0]
+        assert _split_order(model) == [0]
 
     def test_max_depth_zero_is_a_single_leaf(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=0, min_leaf=1))
-        assert model.split_features() == []
+        assert _split_order(model) == []
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -172,12 +186,6 @@ class TestCommonSurface:
         model = LinearModel(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):
             model.score_matrix(np.zeros((2, 4)))
-
-    def test_classify_threshold_validation(self):
-        model = LinearModel(np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            model.classify(SparseBinaryVector(()), threshold=1.0)
-        assert model.classify(SparseBinaryVector(()), threshold=0.4) == 1
 
     @pytest.mark.parametrize("learner", list(Learner))
     def test_serialization_round_trip(self, learner):

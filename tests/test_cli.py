@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pudroid.cli import build_parser, run
+from pudroid.cli import run
 from pudroid.datasets import load_dataset, save_dataset
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
@@ -70,15 +70,70 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
+    def test_threads_flag_is_gone(self, capsys):
+        assert run(["clean", "--dataset", "x", "--out", "y", "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, named", [
+        pytest.param(lambda d: d.pop("features"), "$.features", id="no-features"),
+        pytest.param(lambda d: d["positives"][0].pop("on"), "$.positives[0].on", id="no-on"),
+        pytest.param(lambda d: d["unlabeled"][1].update(id=7), "$.unlabeled[1].id", id="int-id"),
+        pytest.param(
+            lambda d: d["positives"][2]["on"].append(None), "$.positives[2].on", id="null-index"
+        ),
+        pytest.param(lambda d: d["features"][0].pop(), "$.features[0]", id="short-pair"),
+    ])
+    def test_malformed_dataset_json_is_data_error(
+        self, dataset_file, tmp_path, capsys, corrupt, named
+    ):
+        data = json.loads(dataset_file.read_text())
+        corrupt(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = run(["clean", "--dataset", str(bad), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rq2.json"
+        code = run(["experiment", "--protocol", "rq2", "--ratios", ",", "--out", str(out)])
+        assert code == 1
+        assert "--ratios" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSeedDefault:
-    def test_env_seed_is_picked_up(self, monkeypatch):
+    def test_env_seed_is_picked_up(self, dataset_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PUDROID_SEED", "42")
-        args = build_parser().parse_args(["pca", "--dataset", "x", "--out", "y"])
-        assert args is not None  # pca takes no seed; check a seeded command
-        args = build_parser().parse_args(
-            ["experiment", "--protocol", "rq1", "--out", "y"]
-        )
-        assert args.seed == 42
+        out = tmp_path / "clean.json"
+        assert run(["clean", "--dataset", str(dataset_file), "--learner", "tree",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 42
+
+    def test_seed_flag_overrides_env(self, dataset_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PUDROID_SEED", "abc")
+        out = tmp_path / "clean.json"
+        assert run(["clean", "--dataset", str(dataset_file), "--learner", "tree",
+                    "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 5
+
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PUDROID_SEED", "abc")
+        code = run(["experiment", "--protocol", "rq1", "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "PUDROID_SEED" in err
+        assert "Traceback" not in err
+
+    def test_unseeded_command_ignores_env_seed(self, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PUDROID_SEED", "abc")
+        manifest, ipmap = corpus
+        assert run(["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap),
+                    "--out", str(tmp_path / "ds.json")]) == 0
+        assert run(["pca", "--dataset", str(tmp_path / "ds.json"),
+                    "--out", str(tmp_path / "p.csv")]) == 0
 
 
 class TestPipeline:

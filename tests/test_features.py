@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import dataset_from_rows, sample, space_of
 from pudroid.features import (
@@ -11,9 +10,7 @@ from pudroid.features import (
     FeatureSpace,
     PUDataset,
     SparseBinaryVector,
-    densify,
-    kind_partition,
-    sparsify,
+    dense_matrix,
 )
 
 
@@ -51,18 +48,6 @@ class TestFeatureSpace:
         for i, pair in enumerate(space.features):
             assert index[pair] == i
 
-    def test_kind_partition(self):
-        space = FeatureSpace.build(
-            [
-                ("a", FeatureKind.API),
-                ("b", FeatureKind.PERMISSION),
-                ("c", FeatureKind.API),
-            ]
-        )
-        assert kind_partition(space, FeatureKind.API) == [0, 1]
-        assert kind_partition(space, FeatureKind.PERMISSION) == [2]
-        assert kind_partition(space, FeatureKind.IP_ADDRESS) == []
-
 
 class TestSparseBinaryVector:
     def test_from_indices_sorts_and_dedupes(self):
@@ -78,23 +63,6 @@ class TestSparseBinaryVector:
             SparseBinaryVector((2, 1))
         with pytest.raises(DimensionError):
             SparseBinaryVector((1, 1))
-
-    def test_densify_example(self):
-        v = SparseBinaryVector((0, 3))
-        assert densify(v, 5).tolist() == [1, 0, 0, 1, 0]
-
-    def test_densify_out_of_range(self):
-        with pytest.raises(DimensionError):
-            densify(SparseBinaryVector((5,)), 5)
-
-    def test_sparsify_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            sparsify([0, 2, 1])
-
-    @given(st.sets(st.integers(min_value=0, max_value=63)))
-    def test_densify_sparsify_round_trip(self, on):
-        v = SparseBinaryVector.from_indices(on)
-        assert sparsify(densify(v, 64)) == v
 
 
 class TestAppSample:
@@ -136,9 +104,11 @@ class TestPUDataset:
     def test_samples_order_and_dense_matrix(self):
         ds = dataset_from_rows([(0, 2)], [(1,), ()], 3)
         assert [s.id for s in ds.samples] == ["p0", "u0", "u1"]
-        assert ds.dense_matrix().tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 0]]
+        out = dense_matrix(ds.samples, 3)
+        assert out.dtype == np.float64
+        assert out.tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 0]]
 
     def test_dense_matrix_subset(self):
         ds = dataset_from_rows([(0,)], [(1,)], 2)
-        out = ds.dense_matrix(ds.unlabeled)
+        out = dense_matrix(ds.unlabeled, 2)
         assert out.tolist() == [[0, 1]]

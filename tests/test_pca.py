@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dataset_from_rows, random_dataset
+from pudroid.features import dense_matrix
 from pudroid.pca import pca_project, projection_csv, top_components
 
 
@@ -43,7 +44,7 @@ class TestProjection:
         ds = dataset_from_rows(rows[:20], rows[20:], 2)
         projection = pca_project(ds)
         coords = np.array([(x, y) for _, x, y, _ in projection.rows])
-        X = ds.dense_matrix().astype(float)
+        X = dense_matrix(ds.samples, 2)
         X = X - X.mean(axis=0)
         for i in range(0, 40, 7):
             for j in range(0, 40, 5):

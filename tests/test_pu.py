@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_rows, sample
 from pudroid.classifiers import Learner, LinearParams, ProbabilisticClassifier, TrainConfig
-from pudroid.features import SparseBinaryVector
 from pudroid.pu import (
     PUModel,
     SplitError,
@@ -108,7 +107,7 @@ class TestEstimator:
 class TestAdjustedModel:
     def test_g_divides_by_e(self):
         pu = PUModel(StubModel(2, 0.4, 0.1), e=0.5)
-        assert pu.g_score(SparseBinaryVector((0,))) == pytest.approx(0.8)
+        assert pu.g_matrix(np.array([[1.0, 0.0]])) == pytest.approx([0.8])
 
     def test_g_clamps_at_one(self):
         pu = PUModel(StubModel(2, 0.9, 0.1), e=0.5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pudroid.features import dense_matrix
 from pudroid.synthetic import (
     SpecError,
     SyntheticSpec,
@@ -70,7 +71,7 @@ class TestGeneration:
 
     def test_shared_signal_mode_lights_all_blocks(self):
         data = generate_synthetic(SMALL)
-        X = data.dataset.dense_matrix(data.dataset.positives)
+        X = dense_matrix(data.dataset.positives, SMALL.dimension)
         block = SMALL.signal_features * SMALL.n_families
         assert X[:, :block].mean() > 0.7
         assert X[:, block:].mean() < 0.2
@@ -78,7 +79,7 @@ class TestGeneration:
     def test_exclusive_mode_lights_only_own_block(self):
         spec = SyntheticSpec(**{**vars(SMALL), "family_exclusive": True})
         data = generate_synthetic(spec)
-        X = data.dataset.dense_matrix(data.dataset.positives)
+        X = dense_matrix(data.dataset.positives, spec.dimension)
         fams = np.array([data.family_of[s.id] for s in data.dataset.positives])
         m = spec.signal_features
         for fam in range(spec.n_families):
@@ -92,7 +93,7 @@ class TestGeneration:
 class TestAnalyticPosterior:
     def test_bayes_rule_is_accurate_on_generated_data(self):
         data = generate_synthetic(SMALL)
-        X = data.dataset.dense_matrix().astype(float)
+        X = dense_matrix(data.dataset.samples, SMALL.dimension)
         truth = np.array([s.hidden for s in data.dataset.samples])
         posterior = analytic_posterior(SMALL, X)
         accuracy = ((posterior > 0.5).astype(int) == truth).mean()
@@ -100,6 +101,6 @@ class TestAnalyticPosterior:
 
     def test_probabilities_in_unit_interval(self):
         data = generate_synthetic(SMALL)
-        X = data.dataset.dense_matrix().astype(float)
+        X = dense_matrix(data.dataset.samples, SMALL.dimension)
         p = analytic_posterior(SMALL, X)
         assert np.all((p >= 0.0) & (p <= 1.0))
