@@ -35,11 +35,22 @@ class Learner(Enum):
     FOREST = "forest"
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearParams:
     learning_rate: float = 0.1
     epochs: int = 200
     l2: float = 1e-3
+
+    def __post_init__(self) -> None:
+        lr, l2 = self.learning_rate, self.l2
+        _require(math.isfinite(lr) and lr > 0, "learning_rate", "finite and > 0", lr)
+        _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
+        _require(math.isfinite(l2) and l2 >= 0, "l2", "finite and >= 0", l2)
 
 
 @dataclass(frozen=True)
@@ -47,12 +58,22 @@ class TreeParams:
     max_depth: int = 12
     min_leaf: int = 5
 
+    def __post_init__(self) -> None:
+        _require(self.max_depth >= 0, "max_depth", ">= 0", self.max_depth)
+        _require(self.min_leaf >= 1, "min_leaf", ">= 1", self.min_leaf)
+
 
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
     features_per_split: Union[int, str] = "sqrt"
     bootstrap: bool = True
+
+    def __post_init__(self) -> None:
+        fps = self.features_per_split
+        _require(self.n_trees >= 1, "n_trees", ">= 1", self.n_trees)
+        ok = fps == "sqrt" or (type(fps) is int and fps >= 1)
+        _require(ok, "features_per_split", "'sqrt' or an integer >= 1", fps)
 
 
 @dataclass(frozen=True)
@@ -319,7 +340,7 @@ class ForestModel(ProbabilisticClassifier):
         if params.features_per_split == "sqrt":
             k = math.ceil(math.sqrt(d))
         else:
-            k = int(params.features_per_split)
+            k = params.features_per_split
             if k > d:
                 raise TrainingError("features_per_split exceeds the dimension")
         trees: list[TreeModel] = []

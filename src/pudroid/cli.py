@@ -64,15 +64,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     fps = args.features_per_split
-    if fps != "sqrt":
-        fps = int(fps)
-    return TrainConfig(
-        seed=args.seed,
-        learner=Learner(args.learner),
-        linear=LinearParams(args.lr, args.epochs, args.l2),
-        tree=TreeParams(args.max_depth, args.min_leaf),
-        forest=ForestParams(args.n_trees, fps, not args.no_bootstrap),
-    )
+    fps = int(fps) if fps.isdecimal() else fps  # ForestParams names any other bad value
+    try:
+        return TrainConfig(
+            seed=args.seed,
+            learner=Learner(args.learner),
+            linear=LinearParams(args.lr, args.epochs, args.l2),
+            tree=TreeParams(args.max_depth, args.min_leaf),
+            forest=ForestParams(args.n_trees, fps, not args.no_bootstrap),
+        )
+    except ValueError as exc:  # a params check, naming its parameter
+        raise UsageError(str(exc)) from None
 
 
 def _ingest(args: argparse.Namespace) -> PUDataset:
@@ -213,8 +215,8 @@ def _cmd_select(args: argparse.Namespace) -> None:
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
-    ds = _load_input_dataset(args)
     cfg = _train_config(args)
+    ds = _load_input_dataset(args)
     result = clean_and_retrain(
         ds,
         cfg,

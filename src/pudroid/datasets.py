@@ -8,6 +8,8 @@ from pathlib import Path
 from .features import AppSample, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
 from .report import DATASET_SCHEMA, dumps
 
+KINDS = {kind.value for kind in FeatureKind}
+
 
 def dataset_to_dict(ds: PUDataset) -> dict:
     def sample_dict(s: AppSample) -> dict:
@@ -45,7 +47,10 @@ def dataset_from_dict(data: dict) -> PUDataset:
 
     def feature(pairs: list, i: int) -> tuple[str, FeatureKind]:
         pair, path = _at(pairs, i, list, "$.features"), f"$.features[{i}]"
-        return _at(pair, 0, str, path), FeatureKind(_at(pair, 1, str, path))
+        kind = _at(pair, 1, str, path)
+        if kind not in KINDS:
+            raise ValueError(f"dataset JSON: {path}[1] must be one of {sorted(KINDS)}, got {kind!r}")
+        return _at(pair, 0, str, path), FeatureKind(kind)
 
     def sample(entries: list, i: int, path: str, discovery: int) -> AppSample:
         entry = _at(entries, i, dict, path)
@@ -53,9 +58,10 @@ def dataset_from_dict(data: dict) -> PUDataset:
         on = _at(entry, "on", list, path)
         if not all(type(j) is int for j in on):
             raise ValueError(f"dataset JSON: {path}.on must hold only integers")
-        return AppSample(
-            _at(entry, "id", str, path), SparseBinaryVector(tuple(on)), discovery, entry.get("hidden")
-        )
+        hidden = entry.get("hidden")
+        if "hidden" in entry and not (type(hidden) is int and hidden in (0, 1)):
+            raise ValueError(f"dataset JSON: {path}.hidden must be 0 or 1, got {json.dumps(hidden)}")
+        return AppSample(_at(entry, "id", str, path), SparseBinaryVector(tuple(on)), discovery, hidden)
 
     pairs, pos, unl = (_at(data, key, list, "$") for key in ("features", "positives", "unlabeled"))
     return PUDataset(

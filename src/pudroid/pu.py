@@ -1,7 +1,9 @@
 """PU learning engine: label-frequency estimation, adjusted scoring, cleaning.
 
+The engine works on the rows of one matrix: `training_arrays` turns P ∪ U
+into (X, z) once, and every later step takes row indices or row slices of X.
 The discovery classifier f is trained on z labels only. The label frequency
-e = p(z=1 | y=1) is estimated as the mean of f over the positive part of a
+e = p(z=1 | y=1) is estimated as the mean of f over the positive rows P' of a
 held-out validation split, and the adjusted score g(x) = f(x) / e recovers
 the true posterior under the discovered-at-random assumption. Unlabeled
 samples with g > 0.5 are flagged as contaminants, then the final detector is
@@ -11,6 +13,7 @@ by any step here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,64 +37,32 @@ def training_arrays(ds: PUDataset) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-@dataclass(frozen=True)
-class ValidationSplit:
-    train_part: PUDataset
-    validation_part: PUDataset
-    positive_validation: tuple[AppSample, ...]
+def split_validation(z: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform split of the rows into validation set V and training rest.
 
-    @property
-    def n(self) -> int:
-        return len(self.positive_validation)
-
-
-def split_validation(ds: PUDataset, fraction: float, seed: int) -> ValidationSplit:
-    """Seeded uniform split of P ∪ U into validation set V and training rest."""
+    Returns (training rows, validation positive rows P'), both ascending.
+    """
     if not 0.0 < fraction < 1.0:
         raise SplitError("fraction must be in (0, 1)")
-    samples = ds.samples
-    n = len(samples)
+    n = len(z)
     n_v = int(round(fraction * n))
     if n_v < 1 or n_v >= n:
         raise SplitError(f"fraction {fraction} leaves a degenerate split for n={n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    chosen = set(rng.permutation(n)[:n_v].tolist())
-    val = [s for i, s in enumerate(samples) if i in chosen]
-    rest = [s for i, s in enumerate(samples) if i not in chosen]
-    p_prime = tuple(s for s in val if s.discovery == 1)
-    if not p_prime:
-        raise SplitError(
-            "validation set contains no positives; increase the fraction or reseed"
-        )
-
-    def as_dataset(part: list[AppSample]) -> PUDataset:
-        return PUDataset(
-            ds.space,
-            tuple(s for s in part if s.discovery == 1),
-            tuple(s for s in part if s.discovery == 0),
-        )
-
-    return ValidationSplit(as_dataset(rest), as_dataset(val), p_prime)
+    in_v = np.zeros(n, dtype=bool)
+    in_v[rng.permutation(n)[:n_v]] = True
+    p_rows = np.flatnonzero(in_v & (z == 1))
+    if not len(p_rows):
+        raise SplitError("validation set contains no positives; increase the fraction or reseed")
+    return np.flatnonzero(~in_v), p_rows
 
 
-@dataclass(frozen=True)
-class EstimatorResult:
-    e: float
-    n: int
-    per_sample_scores: tuple[float, ...]
-
-
-def estimate_e(
-    model: ProbabilisticClassifier, p_prime: Sequence[AppSample]
-) -> EstimatorResult:
-    """Label-frequency estimate: mean f over the validation positives."""
-    if not p_prime:
-        raise ValueError("estimator needs a non-empty positive validation set")
-    if any(s.discovery != 1 for s in p_prime):
-        raise ValueError("estimator input must be positively labeled")
-    scores = model.score_matrix(dense_matrix(p_prime, model.dimension))
-    e = float(np.clip(np.mean(scores), E_EPSILON, 1.0))
-    return EstimatorResult(e, len(p_prime), tuple(float(v) for v in scores))
+def estimate_e(f_scores: np.ndarray) -> float:
+    """Label-frequency estimate: mean f over the validation positives P'."""
+    mean_f = float(np.mean(f_scores)) if len(f_scores) else math.nan
+    if not math.isfinite(mean_f):
+        raise ValueError(f"estimate e: mean f over {len(f_scores)} validation positives is {mean_f}")
+    return float(np.clip(mean_f, E_EPSILON, 1.0))
 
 
 @dataclass(frozen=True)
@@ -107,33 +78,29 @@ class PUModel:
 
 
 def apply_rescale_heuristic(
-    pu: PUModel,
-    p_m: Sequence[AppSample],
-    target: float = 1.0,
-    trigger: float = 0.7,
+    pu: PUModel, mean_g: float, target: float = 1.0, trigger: float = 0.7
 ) -> PUModel:
     """Boost scores when known malware averages well below 1 under g.
 
-    If the mean adjusted score over p_m falls below the trigger, the model is
-    rescaled so that mean reaches the target; otherwise it is returned
-    unchanged.
+    If mean_g, the mean adjusted score over P', falls below the trigger, the
+    model is rescaled so that mean reaches the target; otherwise it is
+    returned unchanged.
     """
-    if not p_m:
-        raise ValueError("rescale heuristic needs a non-empty positive subset")
-    if any(s.discovery != 1 for s in p_m):
-        raise ValueError("rescale subset must be positively labeled")
-    mu = float(np.mean(pu.g_matrix(dense_matrix(p_m, pu.base.dimension))))
-    if mu < trigger:
-        return replace(pu, rescale=target / mu)
+    if mean_g < trigger:
+        rescale = target / mean_g if mean_g > 0 else math.inf
+        if not math.isfinite(rescale):
+            raise ValueError(
+                f"rescale: mean g over the validation positives is {mean_g:g}; "
+                f"no finite factor lifts it to {target:g}"
+            )
+        return replace(pu, rescale=rescale)
     return pu
 
 
-def detect_contaminants(pu: PUModel, u_group: Sequence[AppSample]) -> list[str]:
-    """Ids of unlabeled samples classified malicious by g (g > 0.5), sorted."""
-    if not u_group:
-        return []
-    g = pu.g_matrix(dense_matrix(u_group, pu.base.dimension))
-    return sorted(s.id for s, gs in zip(u_group, g) if gs > 0.5)
+def detect_contaminants(pu: PUModel, X_u: np.ndarray, u_ids: Sequence[str]) -> list[str]:
+    """Ids of the unlabeled rows classified malicious by g (g > 0.5), sorted."""
+    g = pu.g_matrix(X_u)
+    return sorted(sid for sid, gs in zip(u_ids, g) if gs > 0.5)
 
 
 @dataclass(frozen=True)
@@ -167,28 +134,25 @@ def clean_and_retrain(
     label and carries no ground-truth claim). With discard=True they are
     removed instead.
     """
-    split = split_validation(ds, split_fraction, seed)
-    X, y = training_arrays(split.train_part)
-    base = train(X, y, cfg)
-    est = estimate_e(base, split.positive_validation)
-    # mean g over P' before any rescale, from the f scores e was estimated on
-    mu = float(np.mean(np.minimum(1.0, np.asarray(est.per_sample_scores) / est.e)))
-    pu = PUModel(base, est.e)
+    X, z = training_arrays(ds)
+    train_rows, p_rows = split_validation(z, split_fraction, seed)
+    base = train(X[train_rows], z[train_rows], cfg)
+    f_pm = base.score_matrix(X[p_rows])
+    e = estimate_e(f_pm)
+    mu = float(np.mean(np.minimum(1.0, f_pm / e)))  # mean g over P' before any rescale
     pu = apply_rescale_heuristic(
-        pu, split.positive_validation, target=rescale_target, trigger=rescale_trigger
+        PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
-    contaminants = detect_contaminants(pu, ds.unlabeled)
+    u_ids = [s.id for s in ds.unlabeled]
+    contaminants = detect_contaminants(pu, X[len(ds.positives):], u_ids)
+    del X  # released before the retrain matrix is built
     flagged = set(contaminants)
 
     kept_u = tuple(s for s in ds.unlabeled if s.id not in flagged)
     if discard:
         cleaned = PUDataset(ds.space, ds.positives, kept_u)
     else:
-        moved = tuple(
-            AppSample(s.id, s.features, 1, None)
-            for s in ds.unlabeled
-            if s.id in flagged
-        )
+        moved = tuple(AppSample(s.id, s.features, 1, None) for s in ds.unlabeled if s.id in flagged)
         cleaned = PUDataset(ds.space, ds.positives + moved, kept_u)
 
     Xc, yc = training_arrays(cleaned)
@@ -197,5 +161,5 @@ def clean_and_retrain(
         contaminant_ids=tuple(contaminants),
         cleaned=cleaned,
         final_model=final_model,
-        diagnostics=CleanDiagnostics(e=est.e, rescale=pu.rescale, mean_g_over_pm=mu),
+        diagnostics=CleanDiagnostics(e=e, rescale=pu.rescale, mean_g_over_pm=mu),
     )

@@ -59,10 +59,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _fit_estimator(c: float, seed: int) -> float:
     cfg = TrainConfig(seed=seed, learner=Learner.LINEAR, linear=LINEAR)
     data = generate_synthetic(SyntheticSpec(label_frequency_c=c, seed=seed))
-    split = split_validation(data.dataset, 0.2, seed)
-    X, z = training_arrays(split.train_part)
-    model = train(X, z, cfg)
-    return estimate_e(model, split.positive_validation).e
+    X, z = training_arrays(data.dataset)
+    train_rows, p_rows = split_validation(z, 0.2, seed)
+    model = train(X[train_rows], z[train_rows], cfg)
+    return estimate_e(model.score_matrix(X[p_rows]))
 
 
 def test_c01_label_frequency_estimator_consistency():
@@ -87,11 +87,11 @@ def test_c02_adjusted_score_recovers_true_posterior():
     for seed in range(3):
         spec = SyntheticSpec(label_frequency_c=0.5, seed=seed)
         data = generate_synthetic(spec)
-        split = split_validation(data.dataset, 0.2, seed)
-        X, z = training_arrays(split.train_part)
+        X, z = training_arrays(data.dataset)
+        train_rows, p_rows = split_validation(z, 0.2, seed)
         cfg = TrainConfig(seed=seed, learner=Learner.LINEAR, linear=LINEAR)
-        model = train(X, z, cfg)
-        pu = PUModel(model, estimate_e(model, split.positive_validation).e)
+        model = train(X[train_rows], z[train_rows], cfg)
+        pu = PUModel(model, estimate_e(model.score_matrix(X[p_rows])))
         held_out = generate_synthetic(
             SyntheticSpec(
                 n_positive=500, n_negative=1500, label_frequency_c=0.5, seed=seed + 1000

@@ -182,6 +182,20 @@ class TestCommonSurface:
         with pytest.raises(TrainingError, match="degenerate"):
             train(X, np.ones(4), TrainConfig(learner=Learner.LINEAR))
 
+    @pytest.mark.parametrize("make, named", [
+        (lambda: LinearParams(learning_rate=float("inf")), "learning_rate"),
+        (lambda: LinearParams(epochs=0), "epochs"),
+        (lambda: LinearParams(l2=float("nan")), "l2"),
+        (lambda: TreeParams(max_depth=-1), "max_depth"),
+        (lambda: TreeParams(min_leaf=0), "min_leaf"),
+        (lambda: ForestParams(n_trees=0), "n_trees"),
+        (lambda: ForestParams(features_per_split="log2"), "features_per_split"),
+        (lambda: ForestParams(features_per_split=0), "features_per_split"),
+    ])
+    def test_params_reject_bad_values(self, make, named):
+        with pytest.raises(ValueError, match=named):
+            make()
+
     def test_dimension_mismatch_is_an_error(self):
         model = LinearModel(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):

@@ -82,6 +82,15 @@ class TestExitCodes:
             lambda d: d["positives"][2]["on"].append(None), "$.positives[2].on", id="null-index"
         ),
         pytest.param(lambda d: d["features"][0].pop(), "$.features[0]", id="short-pair"),
+        pytest.param(
+            lambda d: d["features"][3].__setitem__(1, "apk"), "$.features[3][1]", id="bad-kind"
+        ),
+        pytest.param(
+            lambda d: d["unlabeled"][0].update(hidden=True), "$.unlabeled[0].hidden", id="bool-hidden"
+        ),
+        pytest.param(
+            lambda d: d["positives"][1].update(hidden=1.0), "$.positives[1].hidden", id="float-hidden"
+        ),
     ])
     def test_malformed_dataset_json_is_data_error(
         self, dataset_file, tmp_path, capsys, corrupt, named
@@ -95,6 +104,42 @@ class TestExitCodes:
         assert code == 2
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--n-trees", "0"], "n_trees"),
+        (["--features-per-split", "abc"], "features_per_split"),
+        (["--features-per-split", "0"], "features_per_split"),
+        (["--epochs", "0"], "epochs"),
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "0"], "learning_rate"),
+        (["--l2", "-1"], "l2"),
+        (["--max-depth", "-1"], "max_depth"),
+        (["--min-leaf", "0"], "min_leaf"),
+    ])
+    def test_bad_training_flag_is_usage_error(self, dataset_file, tmp_path, capsys, flags, named):
+        out = tmp_path / "o.json"
+        code = run(["clean", "--dataset", str(dataset_file), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr, stage", [
+        ("1e3", "rescale: mean g over the validation positives is 0"),  # f is 0 on all of P'
+        ("1e300", "estimate e: mean f over"),  # the weights overflow and f is NaN
+    ])
+    def test_pu_stage_failure_is_data_error(self, dataset_file, tmp_path, capsys, lr, stage):
+        out = tmp_path / "o.json"
+        code = run([
+            "clean", "--dataset", str(dataset_file), "--learner", "linear",
+            "--lr", lr, "--epochs", "3", "--seed", "3", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert stage in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rq2.json"

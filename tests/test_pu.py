@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dataset_from_rows, sample
-from pudroid.classifiers import Learner, LinearParams, ProbabilisticClassifier, TrainConfig
+from conftest import dataset_from_rows, random_dataset
+from pudroid.classifiers import (
+    Learner,
+    LinearParams,
+    ProbabilisticClassifier,
+    TrainConfig,
+    TreeParams,
+)
 from pudroid.pu import (
     PUModel,
     SplitError,
@@ -44,41 +52,37 @@ class TestArrays:
 
 
 class TestSplit:
-    def _ds(self, n_p=10, n_u=30):
-        return dataset_from_rows([(0,)] * n_p, [(1,)] * n_u, 2)
+    def _z(self, n_p=10, n_u=30):
+        return np.array([1] * n_p + [0] * n_u)
 
     def test_sizes_and_partition(self):
-        ds = self._ds()
-        split = split_validation(ds, 0.25, seed=0)
-        all_ids = {s.id for s in ds.samples}
-        val_ids = {s.id for s in split.validation_part.samples}
-        train_ids = {s.id for s in split.train_part.samples}
-        assert len(val_ids) == 10
-        assert val_ids | train_ids == all_ids
-        assert not val_ids & train_ids
-        assert all(s.discovery == 1 for s in split.positive_validation)
+        z = self._z()
+        train_rows, p_rows = split_validation(z, 0.25, seed=0)
+        assert len(train_rows) == 30  # 10 of 40 rows go to V
+        assert train_rows.tolist() == sorted(train_rows.tolist())
+        assert p_rows.tolist() == sorted(p_rows.tolist())
+        assert not set(train_rows.tolist()) & set(p_rows.tolist())
+        assert all(z[p_rows] == 1)
 
     def test_deterministic(self):
-        ds = self._ds()
-        a = split_validation(ds, 0.25, seed=4)
-        b = split_validation(ds, 0.25, seed=4)
-        assert a == b
-        c = split_validation(ds, 0.25, seed=5)
-        assert {s.id for s in c.validation_part.samples} != {
-            s.id for s in a.validation_part.samples
-        }
+        z = self._z()
+        a = split_validation(z, 0.25, seed=4)
+        b = split_validation(z, 0.25, seed=4)
+        assert [r.tolist() for r in a] == [r.tolist() for r in b]
+        c = split_validation(z, 0.25, seed=5)
+        assert c[0].tolist() != a[0].tolist()
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.3])
     def test_fraction_bounds(self, fraction):
         with pytest.raises(SplitError):
-            split_validation(self._ds(), fraction, seed=0)
+            split_validation(self._z(), fraction, seed=0)
 
-    def test_empty_positive_validation_is_an_error(self):
-        ds = dataset_from_rows([(0,)], [(1,)] * 9, 2)
+    def test_no_validation_positives_is_an_error(self):
+        z = self._z(1, 9)
         outcomes = set()
         for seed in range(40):
             try:
-                split_validation(ds, 0.2, seed)
+                split_validation(z, 0.2, seed)
                 outcomes.add("ok")
             except SplitError:
                 outcomes.add("error")
@@ -87,21 +91,15 @@ class TestSplit:
 
 class TestEstimator:
     def test_mean_over_validation_positives(self):
-        p_prime = [sample("a", (0,), 1), sample("b", (), 1)]
-        est = estimate_e(StubModel(2, 0.8, 0.6), p_prime)
-        assert est.e == pytest.approx(0.7)
-        assert est.n == 2
-        assert est.per_sample_scores == (0.8, 0.6)
+        assert estimate_e(np.array([0.8, 0.6])) == pytest.approx(0.7)
 
     def test_clamped_away_from_zero(self):
-        est = estimate_e(StubModel(2, 0.0, 0.0), [sample("a", (0,), 1)])
-        assert est.e == 1e-6
+        assert estimate_e(np.array([0.0])) == 1e-6
 
-    def test_rejects_empty_or_unlabeled_input(self):
-        with pytest.raises(ValueError):
-            estimate_e(StubModel(2, 0.5, 0.5), [])
-        with pytest.raises(ValueError):
-            estimate_e(StubModel(2, 0.5, 0.5), [sample("a", (), 0)])
+    def test_rejects_empty_or_non_finite_input(self):
+        for scores in ([], [0.5, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="estimate e"):
+                estimate_e(np.array(scores))
 
 
 class TestAdjustedModel:
@@ -115,42 +113,35 @@ class TestAdjustedModel:
         assert pu.g_matrix(X).tolist() == [1.0, 0.2]
 
     def test_rescale_triggers_below_threshold(self):
-        # mean g over the subset is 0.5 < 0.7, so rescale = 1.0 / 0.5
+        # mean g over P' is 0.5 < 0.7, so rescale = 1.0 / 0.5
         pu = PUModel(StubModel(2, 0.25, 0.0), e=0.5)
-        out = apply_rescale_heuristic(pu, [sample("a", (0,), 1)])
-        assert out.rescale == pytest.approx(2.0)
+        assert apply_rescale_heuristic(pu, 0.5).rescale == pytest.approx(2.0)
 
     def test_rescale_skipped_at_or_above_trigger(self):
-        pu = PUModel(StubModel(2, 0.475, 0.0), e=0.5)  # mean g = 0.95
-        assert apply_rescale_heuristic(pu, [sample("a", (0,), 1)]).rescale == 1.0
-        pu = PUModel(StubModel(2, 0.35, 0.0), e=0.5)  # mean g exactly 0.7
-        assert apply_rescale_heuristic(pu, [sample("a", (0,), 1)]).rescale == 1.0
+        pu = PUModel(StubModel(2, 0.475, 0.0), e=0.5)
+        assert apply_rescale_heuristic(pu, 0.95).rescale == 1.0
+        assert apply_rescale_heuristic(pu, 0.7).rescale == 1.0
 
-    def test_rescale_rejects_bad_subset(self):
-        pu = PUModel(StubModel(2, 0.5, 0.5), e=0.5)
-        with pytest.raises(ValueError):
-            apply_rescale_heuristic(pu, [])
-        with pytest.raises(ValueError):
-            apply_rescale_heuristic(pu, [sample("a", (), 0)])
+    def test_rescale_rejects_zero_mean_g(self):
+        pu = PUModel(StubModel(2, 0.0, 0.0), e=1e-6)
+        for mean_g in (0.0, 1e-320):  # the second overflows target / mean_g
+            with pytest.raises(ValueError, match="rescale"):
+                apply_rescale_heuristic(pu, mean_g)
 
 
 class TestDetection:
     def test_strictly_above_half_sorted(self):
         pu = PUModel(StubModel(2, 0.6, 0.25), e=1.0)
-        u_group = [
-            sample("zz", (0,), 0),  # g = 0.6 -> flagged
-            sample("aa", (0,), 0),  # g = 0.6 -> flagged
-            sample("mm", (), 0),  # g = 0.25
-        ]
-        assert detect_contaminants(pu, u_group) == ["aa", "zz"]
+        X_u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])  # g = 0.6, 0.6, 0.25
+        assert detect_contaminants(pu, X_u, ["zz", "aa", "mm"]) == ["aa", "zz"]
 
     def test_boundary_not_flagged(self):
         pu = PUModel(StubModel(2, 0.5, 0.5), e=1.0)  # g exactly 0.5
-        assert detect_contaminants(pu, [sample("a", (0,), 0)]) == []
+        assert detect_contaminants(pu, np.array([[1.0, 0.0]]), ["a"]) == []
 
     def test_empty_group(self):
         pu = PUModel(StubModel(2, 0.9, 0.9), e=1.0)
-        assert detect_contaminants(pu, []) == []
+        assert detect_contaminants(pu, np.zeros((0, 2)), []) == []
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +196,36 @@ class TestCleanAndRetrain:
         assert 1e-6 <= result.diagnostics.e <= 1.0
         assert result.diagnostics.rescale >= 1.0
         assert 0.0 <= result.diagnostics.mean_g_over_pm <= 1.0
+
+
+class TestCleanProperty:
+    """No random small input ends in non-finite diagnostics or a non-ValueError."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_p=st.integers(1, 12),
+        n_u=st.integers(1, 30),
+        d=st.integers(1, 6),
+        cfg=st.one_of(
+            st.builds(
+                lambda lr, epochs: TrainConfig(
+                    learner=Learner.LINEAR, linear=LinearParams(lr, epochs)
+                ),
+                st.floats(min_value=1e-3, max_value=1e4),
+                st.integers(1, 50),
+            ),
+            st.just(TrainConfig(learner=Learner.TREE, tree=TreeParams(min_leaf=1))),
+        ),
+    )
+    def test_finite_diagnostics_or_value_error(self, seed, n_p, n_u, d, cfg):
+        ds = random_dataset(np.random.default_rng(seed), n_p, n_u, d)
+        try:
+            result = clean_and_retrain(ds, cfg, seed=seed)
+        except ValueError:
+            return
+        diag = result.diagnostics
+        assert all(math.isfinite(v) for v in (diag.e, diag.rescale, diag.mean_g_over_pm))
 
 
 class TestRankingInvariance:
