@@ -141,7 +141,8 @@ def logistic_loss_and_grad(
     The intercept is not penalized.
     """
     z = X @ w + b
-    p = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) overflows to inf, and 1/(1+inf) is 0
+        p = 1.0 / (1.0 + np.exp(-z))
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     loss += 0.5 * l2 * float(w @ w)
@@ -159,7 +160,8 @@ class LinearModel(ProbabilisticClassifier):
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         X = self._check_dim(X)
-        return 1.0 / (1.0 + np.exp(-(X @ self.weights + self.bias)))
+        with np.errstate(over="ignore"):  # as in logistic_loss_and_grad
+            return 1.0 / (1.0 + np.exp(-(X @ self.weights + self.bias)))
 
     def to_dict(self) -> dict:
         return {
@@ -199,23 +201,24 @@ class _Split:
 
 
 def _gini(n: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
+    p = pos / np.maximum(n, 1)  # an empty side has pos == 0, so p == 0 there
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, candidates: np.ndarray, min_leaf: int
+    XT: np.ndarray, W: np.ndarray, rows: np.ndarray, pos: int, candidates: np.ndarray,
+    min_leaf: int,
 ) -> Optional[int]:
     """Candidate feature with the largest Gini gain; ties go to the lowest index.
 
     Returns None when no candidate yields a valid split with positive gain.
     """
-    n = len(y)
-    pos = float(y.sum())
-    ones = X[:, candidates]
-    n1 = ones.sum(axis=0).astype(np.float64)
-    pos1 = (y @ ones).astype(np.float64)
+    n = len(rows)
+    # (k, n) 0/1 block times the rows' [1, y] pairs: per candidate, the number
+    # of rows with the feature present and how many of them are positive;
+    # integer sums, so the float64 products are exact
+    counts = XT[candidates].take(rows, axis=1) @ W.take(rows, axis=0)
+    n1, pos1 = counts[:, 0], counts[:, 1]
     n0 = n - n1
     pos0 = pos - pos1
     weighted = (n0 * _gini(n0, pos0) + n1 * _gini(n1, pos1)) / n
@@ -232,29 +235,42 @@ def _best_split(
 
 
 def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
+    XT: np.ndarray,
+    W: np.ndarray,
+    rows: np.ndarray,
     depth: int,
     params: TreeParams,
     k: Optional[int],
     rng: Optional[np.random.Generator],
 ) -> "_Leaf | _Split":
-    n = len(y)
-    pos = int(y.sum())
+    """Grow the subtree on `rows`, a multiset of row indices of the fit's data.
+
+    XT is the (d, n) bool matrix and W the (n, 2) float64 [1, y] matrix built
+    once per fit by `_grow_arrays`; a node holds only its row indices.
+    """
+    n = len(rows)
+    pos = int(W[rows, 1].sum())
     if depth >= params.max_depth or n < 2 * params.min_leaf or pos in (0, n):
         return _Leaf((pos + 1) / (n + 2))
-    d = X.shape[1]
+    d = XT.shape[0]
     if k is None or k >= d:
         candidates = np.arange(d)
     else:
         candidates = np.sort(rng.choice(d, size=k, replace=False))
-    feat = _best_split(X, y, candidates, params.min_leaf)
+    feat = _best_split(XT, W, rows, pos, candidates, params.min_leaf)
     if feat is None:
         return _Leaf((pos + 1) / (n + 2))
-    mask = X[:, feat] > 0.5
-    absent = _grow(X[~mask], y[~mask], depth + 1, params, k, rng)
-    present = _grow(X[mask], y[mask], depth + 1, params, k, rng)
+    present = XT[feat].take(rows)
+    absent = _grow(XT, W, rows[~present], depth + 1, params, k, rng)
+    present = _grow(XT, W, rows[present], depth + 1, params, k, rng)
     return _Split(feat, absent, present)
+
+
+def _grow_arrays(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grower's view of a training set: (d, n) bool XT and (n, 2) [1, y]."""
+    XT = np.ascontiguousarray(X.T > 0.5)
+    W = np.column_stack([np.ones(len(y)), y.astype(np.float64)])
+    return XT, W
 
 
 def _score_into(node: "_Leaf | _Split", X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -298,7 +314,8 @@ class TreeModel(ProbabilisticClassifier):
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray, params: TreeParams) -> "TreeModel":
         X, y = _validate_training_input(X, y)
-        root = _grow(X, y, 0, params, None, None)
+        XT, W = _grow_arrays(X, y)
+        root = _grow(XT, W, np.arange(len(y)), 0, params, None, None)
         return cls(root, X.shape[1])
 
 
@@ -343,17 +360,16 @@ class ForestModel(ProbabilisticClassifier):
             k = params.features_per_split
             if k > d:
                 raise TrainingError("features_per_split exceeds the dimension")
+        XT, W = _grow_arrays(X, y)
         trees: list[TreeModel] = []
         for t in range(params.n_trees):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+            rows = np.arange(n)
             if params.bootstrap:
                 idx = rng.integers(0, n, size=n)
-                Xt, yt = X[idx], y[idx]
-                if len(np.unique(yt)) < 2:  # degenerate resample: fall back to full data
-                    Xt, yt = X, y
-            else:
-                Xt, yt = X, y
-            root = _grow(Xt, yt, 0, tree_params, k, rng)
+                if len(np.unique(y[idx])) >= 2:  # else degenerate: keep the full data
+                    rows = idx
+            root = _grow(XT, W, rows, 0, tree_params, k, rng)
             trees.append(TreeModel(root, d))
         return cls(trees, d)
 

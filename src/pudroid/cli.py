@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -216,6 +217,9 @@ def _cmd_select(args: argparse.Namespace) -> None:
 
 def _cmd_clean(args: argparse.Namespace) -> None:
     cfg = _train_config(args)
+    target = args.rescale_target
+    if not (math.isfinite(target) and target > 0):  # g would be 0 or NaN and flag nothing
+        raise UsageError(f"--rescale-target must be finite and > 0, got {target!r}")
     ds = _load_input_dataset(args)
     result = clean_and_retrain(
         ds,

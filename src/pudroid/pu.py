@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import ProbabilisticClassifier, TrainConfig, train
+from .classifiers import ProbabilisticClassifier, TrainConfig, TrainingError, train
 from .features import AppSample, PUDataset, dense_matrix
 
 E_EPSILON = 1e-6
@@ -136,7 +136,10 @@ def clean_and_retrain(
     """
     X, z = training_arrays(ds)
     train_rows, p_rows = split_validation(z, split_fraction, seed)
-    base = train(X[train_rows], z[train_rows], cfg)
+    try:
+        base = train(X[train_rows], z[train_rows], cfg)
+    except TrainingError as exc:
+        raise TrainingError(f"fit f: {exc}") from exc
     f_pm = base.score_matrix(X[p_rows])
     e = estimate_e(f_pm)
     mu = float(np.mean(np.minimum(1.0, f_pm / e)))  # mean g over P' before any rescale
@@ -156,7 +159,13 @@ def clean_and_retrain(
         cleaned = PUDataset(ds.space, ds.positives + moved, kept_u)
 
     Xc, yc = training_arrays(cleaned)
-    final_model = train(Xc, yc, cfg)
+    try:
+        final_model = train(Xc, yc, cfg)
+    except TrainingError as exc:  # P is non-empty, so only an all-flagged U leaves one class
+        raise TrainingError(
+            f"retrain: all {len(flagged)} unlabeled samples were flagged; "
+            f"the cleaned set has one class"
+        ) from exc
     return CleanResult(
         contaminant_ids=tuple(contaminants),
         cleaned=cleaned,

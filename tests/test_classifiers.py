@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +28,88 @@ def _xor_free_problem(rng, n=80, d=6):
     X = (rng.random((n, d)) < 0.4).astype(float)
     y = X[:, 0].astype(int)
     return X, y
+
+
+# ---------------------------------------------------------------------------
+# Reference grower: the original copying CART, which slices the full float
+# matrix at every node and per bootstrap. The package grower must produce the
+# same serialized trees, node for node and bit for bit.
+
+
+def _ref_gini(n, pos):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(n > 0, pos / np.maximum(n, 1), 0.0)
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+def _ref_best_split(X, y, candidates, min_leaf):
+    n = len(y)
+    pos = float(y.sum())
+    ones = X[:, candidates]
+    n1 = ones.sum(axis=0).astype(np.float64)
+    pos1 = (y @ ones).astype(np.float64)
+    n0 = n - n1
+    pos0 = pos - pos1
+    weighted = (n0 * _ref_gini(n0, pos0) + n1 * _ref_gini(n1, pos1)) / n
+    p_parent = pos / n
+    parent = 1.0 - p_parent * p_parent - (1.0 - p_parent) * (1.0 - p_parent)
+    gain = parent - weighted
+    valid = (n0 >= min_leaf) & (n1 >= min_leaf) & (gain > 1e-12)
+    if not valid.any():
+        return None
+    gain = np.where(valid, gain, -np.inf)
+    return int(candidates[int(np.argmax(gain))])
+
+
+def _ref_grow(X, y, depth, params, k, rng) -> dict:
+    n = len(y)
+    pos = int(y.sum())
+    if depth >= params.max_depth or n < 2 * params.min_leaf or pos in (0, n):
+        return {"leaf": repr((pos + 1) / (n + 2))}
+    d = X.shape[1]
+    if k is None or k >= d:
+        candidates = np.arange(d)
+    else:
+        candidates = np.sort(rng.choice(d, size=k, replace=False))
+    feat = _ref_best_split(X, y, candidates, params.min_leaf)
+    if feat is None:
+        return {"leaf": repr((pos + 1) / (n + 2))}
+    mask = X[:, feat] > 0.5
+    return {
+        "feature": feat,
+        "absent": _ref_grow(X[~mask], y[~mask], depth + 1, params, k, rng),
+        "present": _ref_grow(X[mask], y[mask], depth + 1, params, k, rng),
+    }
+
+
+def _ref_dumps(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _ref_tree(X, y, params: TreeParams) -> str:
+    root = _ref_grow(X, y, 0, params, None, None)
+    return _ref_dumps(
+        {"version": "pudroid-model/1", "type": "tree", "dimension": X.shape[1], "root": root}
+    )
+
+
+def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int):
+    """(serialized forest, number of trees whose resample fell back to full data)."""
+    n, d = X.shape
+    k = math.ceil(math.sqrt(d)) if params.features_per_split == "sqrt" else params.features_per_split
+    trees, fallbacks = [], 0
+    for t in range(params.n_trees):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+        Xt, yt = X, y
+        if params.bootstrap:
+            idx = rng.integers(0, n, size=n)
+            if len(np.unique(y[idx])) < 2:
+                fallbacks += 1
+            else:
+                Xt, yt = X[idx], y[idx]
+        trees.append(_ref_grow(Xt, yt, 0, tree_params, k, rng))
+    data = {"version": "pudroid-model/1", "type": "forest", "dimension": d, "trees": trees}
+    return _ref_dumps(data), fallbacks
 
 
 def _split_order(model: TreeModel) -> list[int]:
@@ -166,6 +252,62 @@ class TestForest:
         X, y = _xor_free_problem(rng, d=4)
         with pytest.raises(TrainingError):
             ForestModel.fit(X, y, ForestParams(features_per_split=9), TreeParams(), 0)
+
+
+@st.composite
+def _grow_problem(draw):
+    """A random small 0/1 matrix with both classes and grower settings."""
+    n = draw(st.integers(min_value=2, max_value=80))
+    d = draw(st.integers(min_value=1, max_value=16))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = (rng.random((n, d)) < draw(st.floats(min_value=0.05, max_value=0.95))).astype(float)
+    y = (rng.random(n) < draw(st.floats(min_value=0.05, max_value=0.95))).astype(np.int64)
+    y[rng.choice(n, size=2, replace=False)] = [0, 1]
+    tree = TreeParams(
+        max_depth=draw(st.integers(min_value=0, max_value=8)),
+        min_leaf=draw(st.integers(min_value=1, max_value=6)),
+    )
+    fps = draw(st.one_of(st.just("sqrt"), st.integers(min_value=1, max_value=d)))
+    forest = ForestParams(
+        n_trees=draw(st.integers(min_value=1, max_value=4)),
+        features_per_split=fps,
+        bootstrap=draw(st.booleans()),
+    )
+    return X, y, tree, forest, draw(st.integers(min_value=0, max_value=2**31 - 1))
+
+
+class TestGrowerOracle:
+    """The package grower against the copying reference grower above."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_grow_problem())
+    def test_same_serialized_models_as_reference(self, problem):
+        X, y, tree, forest, seed = problem
+        assert TreeModel.fit(X, y, tree).serialize() == _ref_tree(X, y, tree)
+        got = ForestModel.fit(X, y, forest, tree, seed).serialize()
+        assert got == _ref_forest(X, y, forest, tree, seed)[0]
+
+    def test_degenerate_resample_falls_back_to_full_data(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        y = np.array([1, 0, 0])
+        forest, tree = ForestParams(n_trees=20), TreeParams(max_depth=3, min_leaf=1)
+        expected, fallbacks = _ref_forest(X, y, forest, tree, seed=0)
+        assert fallbacks > 0
+        assert ForestModel.fit(X, y, forest, tree, seed=0).serialize() == expected
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "fc9e34d3286f9d3ace2369f408db040026a0e1c11c66f044ea1a00e04e5bb9ad"),
+        (1, "2cd451ade3c994288129a1731307946c9a293bb320f4db0178fb2d92589fc9ca"),
+    ])
+    def test_forest_pin_at_benchmark_like_shape(self, seed, digest):
+        # 2000x200, ~5% dense, labels from 8 planted features plus 10% noise:
+        # deep bootstrap trees with sqrt(d) candidates, as in `clean`
+        rng = np.random.default_rng(seed)
+        X = (rng.random((2000, 200)) < 0.05).astype(float)
+        X[:, :8] = rng.random((2000, 8)) < 0.3
+        y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(2000) < 0.1)
+        model = ForestModel.fit(X, y, ForestParams(n_trees=10), TreeParams(), seed)
+        assert hashlib.sha256(model.serialize().encode()).hexdigest() == digest
 
 
 class TestCommonSurface:

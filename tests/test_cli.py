@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pudroid
 from pudroid.cli import run
 from pudroid.datasets import load_dataset, save_dataset
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
@@ -140,6 +145,55 @@ class TestExitCodes:
         assert stage in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["0", "-1", "nan", "inf"])
+    def test_bad_rescale_target_is_usage_error(self, dataset_file, tmp_path, capsys, target):
+        out = tmp_path / "o.json"
+        code = run([
+            "clean", "--dataset", str(dataset_file), "--rescale-target", target, "--out", str(out),
+        ])
+        assert code == 1
+        assert "--rescale-target" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rescale_target_is_checked_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = run(["clean", "--dataset", str(missing), "--rescale-target", "0", "--out", "o"])
+        assert code == 1
+        assert "--rescale-target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, stage", [
+        # 2 training rows: of one class, or one leaf at f = e that flags all of U
+        (1, "fit f: degenerate target"),
+        (0, "retrain: all 131 unlabeled samples were flagged; the cleaned set has one class"),
+    ])
+    def test_one_class_fit_names_its_stage(self, dataset_file, tmp_path, capsys, seed, stage):
+        out = tmp_path / "o.json"
+        code = run([
+            "clean", "--dataset", str(dataset_file), "--split-fraction", "0.99",
+            "--n-trees", "5", "--seed", str(seed), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert stage in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_linear_overflow_prints_no_warning(self, dataset_file, tmp_path):
+        # warnings go to the real stderr, which only a separate process shows
+        paths = [str(Path(pudroid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", "from pudroid.cli import main; main()",
+                "clean", "--dataset", str(dataset_file), "--learner", "linear",
+                "--lr", "1e3", "--epochs", "3", "--seed", "3", "--out", str(tmp_path / "o.json"),
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2  # the rescale stage still fails: f is 0 on all of P'
+        assert "rescale:" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rq2.json"
