@@ -177,10 +177,13 @@ class LinearModel(ProbabilisticClassifier):
         w = np.zeros(X.shape[1])
         b = 0.0
         yf = y.astype(np.float64)
-        for _ in range(params.epochs):
-            _, dw, db = logistic_loss_and_grad(w, b, X, yf, params.l2)
-            w -= params.learning_rate * dw
-            b -= params.learning_rate * db
+        # a huge learning rate overflows w to inf and then NaN; that is left to
+        # the caller's finiteness check (estimate_e), not printed as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(params.epochs):
+                _, dw, db = logistic_loss_and_grad(w, b, X, yf, params.l2)
+                w -= params.learning_rate * dw
+                b -= params.learning_rate * db
         return cls(w, b)
 
 

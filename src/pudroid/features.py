@@ -6,6 +6,7 @@ threads. No I/O.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -27,6 +28,10 @@ class FeatureKind(Enum):
     IP_ADDRESS = "ip"
 
 
+# value -> kind; a dict lookup, where FeatureKind(value) goes through the enum machinery
+KIND_OF = {kind.value: kind for kind in FeatureKind}
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
     """Ordered universe of (name, kind) features; order defines vector indices.
@@ -38,8 +43,9 @@ class FeatureSpace:
     features: tuple[tuple[str, FeatureKind], ...]
 
     @classmethod
-    def build(cls, pairs: Iterable[tuple[str, FeatureKind]]) -> "FeatureSpace":
-        return cls(tuple(sorted(set(pairs), key=lambda p: (p[1].value, p[0]))))
+    def build(cls, keys: Iterable[tuple[str, str]]) -> "FeatureSpace":
+        """The space of the distinct (kind value, name) keys, in key order."""
+        return cls(tuple((name, KIND_OF[kind]) for kind, name in sorted(set(keys))))
 
     def __post_init__(self) -> None:
         names = [n for n, _ in self.features]
@@ -50,8 +56,9 @@ class FeatureSpace:
     def dimension(self) -> int:
         return len(self.features)
 
-    def index_of(self) -> dict[tuple[str, FeatureKind], int]:
-        return {pair: i for i, pair in enumerate(self.features)}
+    def index_of(self) -> dict[tuple[str, str], int]:
+        """Vector index of each feature by its (kind value, name) key."""
+        return {(kind.value, name): i for i, (name, kind) in enumerate(self.features)}
 
 
 @dataclass(frozen=True)
@@ -62,13 +69,13 @@ class SparseBinaryVector:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "SparseBinaryVector":
-        return cls(tuple(sorted(set(int(i) for i in indices))))
+        return cls(tuple(sorted(set(map(int, indices)))))
 
     def __post_init__(self) -> None:
         idx = self.indices
-        if any(i < 0 for i in idx):
+        if idx and min(idx) < 0:
             raise DimensionError("negative feature index")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.lt, idx, idx[1:])):
             raise DimensionError("indices must be strictly increasing")
 
 

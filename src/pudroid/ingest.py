@@ -16,9 +16,8 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
-from .features import AppSample, DatasetError, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
+from .features import AppSample, DatasetError, FeatureSpace, PUDataset, SparseBinaryVector
 
 KIND_TAGS = ("permission", "api", "url", "ip")
 
@@ -33,40 +32,55 @@ class Group(Enum):
 
 
 @dataclass(frozen=True)
-class RawFeatureLine:
-    kind_tag: str
-    value: str
-
-
-@dataclass(frozen=True)
 class ManifestRow:
     app_id: str
     path: str
     group: Group
 
 
-def parse_feature_file(text: str) -> list[RawFeatureLine]:
-    """One RawFeatureLine per non-blank, non-comment line; duplicates collapse."""
-    out: list[RawFeatureLine] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def feature_keys(
+    text: str, resolver: dict[str, str], truncated: dict[str, str]
+) -> set[tuple[str, str]]:
+    """The (kind value, name) keys of one feature file, in one pass.
+
+    Blank and "#" lines are skipped and duplicates collapse. A url value is
+    looked up in `resolver` and becomes an ip key (or is dropped when it has no
+    entry); an ip value is truncated to its /24 name. `truncated` caches
+    ip -> name across files. A file with several faults reports the first
+    malformed line, else the first malformed IPv4 address, in line order.
+    """
+    keys: set[tuple[str, str]] = set()
+    bad_ip: ParseError | None = None
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
             continue
-        if "::" not in line:
+        kind_tag, sep, value = line.partition("::")
+        if not sep:
             raise ParseError(f"line {lineno}: missing '::' separator: {line!r}")
-        kind_tag, value = line.split("::", 1)
         kind_tag = kind_tag.strip()
         value = value.strip()
         if kind_tag not in KIND_TAGS:
             raise ParseError(f"line {lineno}: unknown kind tag {kind_tag!r}")
         if not value:
             raise ParseError(f"line {lineno}: empty feature value")
-        key = (kind_tag, value)
-        if key not in seen:
-            seen.add(key)
-            out.append(RawFeatureLine(kind_tag, value))
-    return out
+        if kind_tag == "url":
+            value = resolver.get(value)
+            if value is None:
+                continue
+            kind_tag = "ip"
+        if kind_tag == "ip":
+            name = truncated.get(value)
+            if name is None:
+                try:
+                    name = truncated[value] = truncate_ip(value)
+                except ParseError as exc:
+                    bad_ip = bad_ip or exc
+                    continue
+            value = name
+        keys.add((kind_tag, value))
+    if bad_ip is not None:
+        raise bad_ip
+    return keys
 
 
 def truncate_ip(ip: str) -> str:
@@ -96,43 +110,6 @@ def load_resolver_map(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def resolve_urls(
-    lines: Iterable[RawFeatureLine], resolver: dict[str, str]
-) -> list[RawFeatureLine]:
-    """Replace resolvable url lines with ip lines; drop unresolvable urls."""
-    out: list[RawFeatureLine] = []
-    seen: set[tuple[str, str]] = set()
-    for line in lines:
-        if line.kind_tag == "url":
-            ip = resolver.get(line.value)
-            if ip is None:
-                continue
-            line = RawFeatureLine("ip", ip)
-        key = (line.kind_tag, line.value)
-        if key not in seen:
-            seen.add(key)
-            out.append(line)
-    return out
-
-
-_KIND_BY_TAG = {
-    "permission": FeatureKind.PERMISSION,
-    "api": FeatureKind.API,
-    "ip": FeatureKind.IP_ADDRESS,
-}
-
-
-def feature_pairs(lines: Iterable[RawFeatureLine]) -> set[tuple[str, FeatureKind]]:
-    """(name, kind) pairs after IP truncation; url lines must be resolved first."""
-    pairs: set[tuple[str, FeatureKind]] = set()
-    for line in lines:
-        if line.kind_tag == "url":
-            raise ParseError("url lines must be resolved before vectorization")
-        name = truncate_ip(line.value) if line.kind_tag == "ip" else line.value
-        pairs.add((name, _KIND_BY_TAG[line.kind_tag]))
-    return pairs
-
-
 def load_manifest(path: str | Path) -> list[ManifestRow]:
     rows: list[ManifestRow] = []
     seen: set[str] = set()
@@ -159,28 +136,29 @@ def build_dataset(
 ) -> PUDataset:
     """Read every app's feature file and assemble the full PUDataset.
 
-    The FeatureSpace is the union of observed (kind, name) pairs after URL
+    The FeatureSpace is the union of observed (kind, name) keys after URL
     resolution and IP truncation, in the canonical (kind, name) order.
     """
     base = Path(base_dir)
-    per_app: list[tuple[ManifestRow, set[tuple[str, FeatureKind]]]] = []
-    all_pairs: set[tuple[str, FeatureKind]] = set()
+    per_app: list[tuple[ManifestRow, set[tuple[str, str]]]] = []
+    all_keys: set[tuple[str, str]] = set()
+    truncated: dict[str, str] = {}
     for row in manifest:
         path = base / row.path
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise IOError(f"cannot read feature file {path}: {exc}") from exc
-        pairs = feature_pairs(resolve_urls(parse_feature_file(text), resolver))
-        per_app.append((row, pairs))
-        all_pairs |= pairs
+        keys = feature_keys(text, resolver, truncated)
+        per_app.append((row, keys))
+        all_keys |= keys
 
-    space = FeatureSpace.build(all_pairs)
+    space = FeatureSpace.build(all_keys)
     index = space.index_of()
     positives: list[AppSample] = []
     unlabeled: list[AppSample] = []
-    for row, pairs in per_app:
-        vec = SparseBinaryVector.from_indices(index[p] for p in pairs)
+    for row, keys in per_app:
+        vec = SparseBinaryVector(tuple(sorted(map(index.__getitem__, keys))))
         discovery = 1 if row.group is Group.POSITIVE else 0
         sample = AppSample(row.app_id, vec, discovery)
         (positives if discovery else unlabeled).append(sample)

@@ -89,13 +89,14 @@ def project_dataset(ds: PUDataset, retained: Sequence[int]) -> PUDataset:
             raise DimensionError(f"retained index {i} out of range for dimension {d}")
     retained_sorted = sorted(retained)
     new_space = FeatureSpace(tuple(ds.space.features[i] for i in retained_sorted))
-    remap = {old: new for new, old in enumerate(retained_sorted)}
+    remap = [-1] * d  # old index -> new index, -1 for a dropped feature
+    for new, old in enumerate(retained_sorted):
+        remap[old] = new
 
     def remap_sample(s: AppSample) -> AppSample:
-        vec = SparseBinaryVector.from_indices(
-            remap[i] for i in s.features.indices if i in remap
-        )
-        return AppSample(s.id, vec, s.discovery, s.hidden)
+        # the remap is increasing, so the kept indices stay sorted
+        kept = filter((-1).__lt__, map(remap.__getitem__, s.features.indices))
+        return AppSample(s.id, SparseBinaryVector(tuple(kept)), s.discovery, s.hidden)
 
     return PUDataset(
         new_space,

@@ -96,6 +96,12 @@ class TestExitCodes:
         pytest.param(
             lambda d: d["positives"][1].update(hidden=1.0), "$.positives[1].hidden", id="float-hidden"
         ),
+        pytest.param(
+            lambda d: d["positives"][0]["on"].append(True), "$.positives[0].on", id="bool-index"
+        ),
+        pytest.param(
+            lambda d: d["unlabeled"][2]["on"].insert(0, 1.0), "$.unlabeled[2].on", id="float-index"
+        ),
     ])
     def test_malformed_dataset_json_is_data_error(
         self, dataset_file, tmp_path, capsys, corrupt, named
@@ -108,6 +114,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(lambda on: on.insert(0, -1), "negative feature index", id="negative"),
+        pytest.param(lambda on: on.reverse(), "indices must be strictly increasing", id="unsorted"),
+        pytest.param(lambda on: on.append(on[-1]), "indices must be strictly increasing", id="repeat"),
+        pytest.param(
+            lambda on: on.append(30), "has feature index outside space of dimension 30", id="range"
+        ),
+    ])
+    def test_bad_feature_index_is_data_error(self, dataset_file, tmp_path, capsys, corrupt, message):
+        data = json.loads(dataset_file.read_text())
+        corrupt(data["unlabeled"][1]["on"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = run(["clean", "--dataset", str(bad), "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags, named", [
@@ -183,17 +208,21 @@ class TestExitCodes:
         # warnings go to the real stderr, which only a separate process shows
         paths = [str(Path(pudroid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [
-                sys.executable, "-c", "from pudroid.cli import main; main()",
-                "clean", "--dataset", str(dataset_file), "--learner", "linear",
-                "--lr", "1e3", "--epochs", "3", "--seed", "3", "--out", str(tmp_path / "o.json"),
-            ],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2  # the rescale stage still fails: f is 0 on all of P'
-        assert "rescale:" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        for lr, stage in [
+            ("1e3", "rescale:"),  # the sigmoid overflows and f is 0 on all of P'
+            ("1e300", "estimate e:"),  # the weights overflow to inf, then NaN
+        ]:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-c", "from pudroid.cli import main; main()",
+                    "clean", "--dataset", str(dataset_file), "--learner", "linear",
+                    "--lr", lr, "--epochs", "3", "--seed", "3", "--out", str(tmp_path / "o.json"),
+                ],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2, lr  # the stage error is still raised
+            assert stage in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
 
     def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rq2.json"

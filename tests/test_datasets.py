@@ -1,0 +1,60 @@
+"""The dataset JSON writer against its reference: report.dumps(dataset_to_dict(ds))."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
+from pudroid.features import AppSample, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
+from pudroid.report import dumps
+from pudroid.synthetic import SyntheticSpec, generate_synthetic
+
+# quotes, backslashes, control characters and non-ASCII text, besides any character
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\x85é€ 😀a') | st.characters(), max_size=6)
+
+
+@st.composite
+def datasets(draw) -> PUDataset:
+    names = draw(st.lists(TEXT, unique=True, max_size=10))
+    kinds = draw(st.lists(st.sampled_from(FeatureKind), min_size=len(names), max_size=len(names)))
+    n_p, n_u = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    ids = draw(st.lists(TEXT, unique=True, min_size=n_p + n_u, max_size=n_p + n_u))
+    on = st.sets(st.integers(0, len(names) - 1)) if names else st.just(set())
+
+    def sample(sid: str, discovery: int) -> AppSample:
+        hidden = draw(st.sampled_from([None, 1] if discovery else [None, 0, 1]))
+        return AppSample(sid, SparseBinaryVector(tuple(sorted(draw(on)))), discovery, hidden)
+
+    return PUDataset(
+        FeatureSpace(tuple(zip(names, kinds))),
+        tuple(sample(sid, 1) for sid in ids[:n_p]),
+        tuple(sample(sid, 0) for sid in ids[n_p:]),
+    )
+
+
+def _assert_written_as_reference(ds: PUDataset, path) -> None:
+    save_dataset(ds, path)
+    assert path.read_bytes() == dumps(dataset_to_dict(ds)).encode("utf-8")
+    assert load_dataset(path) == ds
+
+
+class TestWriterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ds=datasets())
+    def test_bytes_equal_reference(self, ds, tmp_path_factory):
+        _assert_written_as_reference(ds, tmp_path_factory.mktemp("w") / "ds.json")
+
+    def test_edge_datasets(self, tmp_path):
+        space = FeatureSpace((('a"b\\c', FeatureKind.API), ("\x01é😀", FeatureKind.IP_ADDRESS)))
+        p = (AppSample("p\n0", SparseBinaryVector(()), 1, 1),)
+        u = (AppSample("u\t0", SparseBinaryVector((0, 1)), 0),)
+        for ds in (
+            PUDataset(space, p, u),
+            PUDataset(space, (), u),  # empty P
+            PUDataset(space, p, ()),  # empty U
+            PUDataset(FeatureSpace(()), (), ()),
+        ):
+            _assert_written_as_reference(ds, tmp_path / "ds.json")
+
+    def test_synthetic_set(self, tmp_path):
+        spec = SyntheticSpec(n_positive=80, n_negative=160, dimension=40, seed=5)
+        _assert_written_as_reference(generate_synthetic(spec).dataset, tmp_path / "ds.json")

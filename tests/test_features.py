@@ -18,10 +18,10 @@ class TestFeatureSpace:
     def test_build_orders_by_kind_then_name(self):
         space = FeatureSpace.build(
             [
-                ("SEND_SMS", FeatureKind.PERMISSION),
-                ("getDeviceId", FeatureKind.API),
-                ("1.2.3.x", FeatureKind.IP_ADDRESS),
-                ("INTERNET", FeatureKind.PERMISSION),
+                ("permission", "SEND_SMS"),
+                ("api", "getDeviceId"),
+                ("ip", "1.2.3.x"),
+                ("permission", "INTERNET"),
             ]
         )
         assert space.features == (
@@ -33,20 +33,18 @@ class TestFeatureSpace:
         assert space.dimension == 4
 
     def test_build_collapses_duplicates(self):
-        space = FeatureSpace.build(
-            [("a", FeatureKind.API), ("a", FeatureKind.API), ("b", FeatureKind.API)]
-        )
+        space = FeatureSpace.build([("api", "a"), ("api", "a"), ("api", "b")])
         assert space.dimension == 2
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DatasetError):
-            FeatureSpace.build([("a", FeatureKind.API), ("a", FeatureKind.PERMISSION)])
+            FeatureSpace.build([("api", "a"), ("permission", "a")])
 
     def test_index_of_is_inverse_of_order(self):
         space = space_of(5)
         index = space.index_of()
-        for i, pair in enumerate(space.features):
-            assert index[pair] == i
+        for i, (name, kind) in enumerate(space.features):
+            assert index[kind.value, name] == i
 
 
 class TestSparseBinaryVector:

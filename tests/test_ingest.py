@@ -1,51 +1,188 @@
+from dataclasses import dataclass
+from typing import Iterable
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pudroid.features import DatasetError, FeatureKind
 from pudroid.ingest import (
+    KIND_TAGS,
     Group,
     ManifestRow,
     ParseError,
-    RawFeatureLine,
     build_dataset,
-    feature_pairs,
+    feature_keys,
     load_manifest,
     load_resolver_map,
-    parse_feature_file,
-    resolve_urls,
     truncate_ip,
 )
+
+
+# The three-stage parser that feature_keys replaced, kept as its reference.
+@dataclass(frozen=True)
+class RawFeatureLine:
+    kind_tag: str
+    value: str
+
+
+def parse_feature_file(text: str) -> list[RawFeatureLine]:
+    """One RawFeatureLine per non-blank, non-comment line; duplicates collapse."""
+    out: list[RawFeatureLine] = []
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "::" not in line:
+            raise ParseError(f"line {lineno}: missing '::' separator: {line!r}")
+        kind_tag, value = line.split("::", 1)
+        kind_tag = kind_tag.strip()
+        value = value.strip()
+        if kind_tag not in KIND_TAGS:
+            raise ParseError(f"line {lineno}: unknown kind tag {kind_tag!r}")
+        if not value:
+            raise ParseError(f"line {lineno}: empty feature value")
+        key = (kind_tag, value)
+        if key not in seen:
+            seen.add(key)
+            out.append(RawFeatureLine(kind_tag, value))
+    return out
+
+
+def resolve_urls(
+    lines: Iterable[RawFeatureLine], resolver: dict[str, str]
+) -> list[RawFeatureLine]:
+    """Replace resolvable url lines with ip lines; drop unresolvable urls."""
+    out: list[RawFeatureLine] = []
+    seen: set[tuple[str, str]] = set()
+    for line in lines:
+        if line.kind_tag == "url":
+            ip = resolver.get(line.value)
+            if ip is None:
+                continue
+            line = RawFeatureLine("ip", ip)
+        key = (line.kind_tag, line.value)
+        if key not in seen:
+            seen.add(key)
+            out.append(line)
+    return out
+
+
+_KIND_BY_TAG = {
+    "permission": FeatureKind.PERMISSION,
+    "api": FeatureKind.API,
+    "ip": FeatureKind.IP_ADDRESS,
+}
+
+
+def feature_pairs(lines: Iterable[RawFeatureLine]) -> set[tuple[str, FeatureKind]]:
+    """(name, kind) pairs after IP truncation; url lines must be resolved first."""
+    pairs: set[tuple[str, FeatureKind]] = set()
+    for line in lines:
+        if line.kind_tag == "url":
+            raise ParseError("url lines must be resolved before vectorization")
+        name = truncate_ip(line.value) if line.kind_tag == "ip" else line.value
+        pairs.add((name, _KIND_BY_TAG[line.kind_tag]))
+    return pairs
+
+
+def reference_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
+    pairs = feature_pairs(resolve_urls(parse_feature_file(text), resolver))
+    return {(kind.value, name) for name, kind in pairs}
+
+
+def outcome(parse, *args):
+    """The key set, or the message of the ParseError raised instead."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+RESOLVER = {
+    "a.example": "1.2.3.4",
+    "b.example": "1.2.3.200",  # same /24 as a.example
+    "c.example": "10.0.0.1",
+    "pad.example": " 10.0.0.9 ",  # truncate_ip strips it
+    "bad.example": "300.1.2.3",  # resolves to a malformed address
+}
+VALUES = st.sampled_from([
+    "SEND_SMS", "x", "a::b", "a::b::c", "1.2.3.4", "1.2.3.77", "10.0.0.5", "1.2.3",
+    "1.2.3.256", "a.b.c.d", "a.example", "b.example", "c.example", "pad.example",
+    "bad.example", "gone.example", "é", ":",
+])
+PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def feature_lines(draw) -> str:
+    # faults are rare enough that most files parse and some have several
+    shape = draw(st.sampled_from(["feature"] * 24 + ["comment", "blank"] * 2 + ["no-sep", "empty"]))
+    tag = draw(st.sampled_from(KIND_TAGS * 8 + ("intent", "API", "")))
+    if shape == "comment":
+        return draw(PAD) + "# " + draw(VALUES)
+    if shape == "blank":
+        return draw(PAD)
+    if shape == "no-sep":
+        return draw(PAD) + tag + " " + draw(VALUES).replace("::", "")
+    value = "" if shape == "empty" else draw(VALUES)
+    return draw(PAD) + tag + draw(PAD) + "::" + draw(PAD) + value + draw(PAD)
+
+
+FILES = st.lists(feature_lines(), max_size=12).map(lambda lines: "\n".join(lines) + "\n")
+
+
+class TestFeatureKeysOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(texts=st.lists(FILES, min_size=1, max_size=3))
+    def test_same_keys_or_same_error_as_reference(self, texts):
+        truncated: dict[str, str] = {}  # shared, as build_dataset shares it across files
+        for text in texts:
+            expected = outcome(reference_keys, text, RESOLVER)
+            assert outcome(feature_keys, text, RESOLVER, truncated) == expected
+            assert outcome(feature_keys, text, RESOLVER, {}) == expected
+
+    @pytest.mark.parametrize("text, error", [
+        ("ip::1.2.3\nbroken\n", "line 2: missing '::' separator"),
+        ("ip::1.2.3\nurl::bad.example\nintent::x\n", "line 3: unknown kind tag"),
+        ("url::bad.example\nip::1.2.3\n", "malformed IPv4 address: '300.1.2.3'"),
+        ("api::\napi::ok\nbroken\n", "line 1: empty feature value"),
+    ])
+    def test_several_faults_report_the_reference_error(self, text, error):
+        with pytest.raises(ParseError, match=error):
+            feature_keys(text, RESOLVER, {})
+        assert outcome(reference_keys, text, RESOLVER) == outcome(feature_keys, text, RESOLVER, {})
 
 
 class TestParseFeatureFile:
     def test_basic_lines(self):
         text = "permission::SEND_SMS\napi::getDeviceId\nurl::evil.example\nip::1.2.3.4\n"
-        lines = parse_feature_file(text)
-        assert lines == [
-            RawFeatureLine("permission", "SEND_SMS"),
-            RawFeatureLine("api", "getDeviceId"),
-            RawFeatureLine("url", "evil.example"),
-            RawFeatureLine("ip", "1.2.3.4"),
-        ]
+        assert feature_keys(text, {"evil.example": "5.6.7.8"}, {}) == {
+            ("permission", "SEND_SMS"),
+            ("api", "getDeviceId"),
+            ("ip", "5.6.7.x"),
+            ("ip", "1.2.3.x"),
+        }
 
     def test_comments_blanks_and_duplicates(self):
         text = "# header\n\n  api::x  \napi::x\npermission::P\n"
-        lines = parse_feature_file(text)
-        assert lines == [RawFeatureLine("api", "x"), RawFeatureLine("permission", "P")]
+        assert feature_keys(text, {}, {}) == {("api", "x"), ("permission", "P")}
 
     def test_missing_separator_reports_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_feature_file("api::ok\nbroken line\n")
+            feature_keys("api::ok\nbroken line\n", {}, {})
 
     def test_unknown_kind_tag_is_an_error(self):
         with pytest.raises(ParseError, match="unknown kind tag"):
-            parse_feature_file("intent::android.intent.action.MAIN\n")
+            feature_keys("intent::android.intent.action.MAIN\n", {}, {})
 
     def test_empty_value_is_an_error(self):
         with pytest.raises(ParseError, match="empty feature value"):
-            parse_feature_file("api::   \n")
+            feature_keys("api::   \n", {}, {})
 
     def test_value_may_contain_separator(self):
-        assert parse_feature_file("api::a::b\n") == [RawFeatureLine("api", "a::b")]
+        assert feature_keys("api::a::b\n", {}, {}) == {("api", "a::b")}
 
 
 class TestTruncateIp:
@@ -85,35 +222,30 @@ class TestResolverMap:
 
 class TestResolveUrls:
     def test_resolvable_urls_become_ip_lines(self):
-        lines = [RawFeatureLine("url", "evil.example"), RawFeatureLine("api", "x")]
-        out = resolve_urls(lines, {"evil.example": "1.2.3.4"})
-        assert out == [RawFeatureLine("ip", "1.2.3.4"), RawFeatureLine("api", "x")]
+        keys = feature_keys("url::evil.example\napi::x\n", {"evil.example": "1.2.3.4"}, {})
+        assert keys == {("ip", "1.2.3.x"), ("api", "x")}
 
     def test_unresolvable_urls_are_dropped(self):
-        out = resolve_urls([RawFeatureLine("url", "gone.example")], {})
-        assert out == []
+        assert feature_keys("url::gone.example\n", {}, {}) == set()
 
     def test_resolution_collisions_collapse(self):
-        lines = [
-            RawFeatureLine("url", "a.example"),
-            RawFeatureLine("url", "b.example"),
-            RawFeatureLine("ip", "1.2.3.4"),
-        ]
-        out = resolve_urls(lines, {"a.example": "1.2.3.4", "b.example": "1.2.3.4"})
-        assert out == [RawFeatureLine("ip", "1.2.3.4")]
+        text = "url::a.example\nurl::b.example\nip::1.2.3.4\n"
+        resolver = {"a.example": "1.2.3.4", "b.example": "1.2.3.4"}
+        assert feature_keys(text, resolver, {}) == {("ip", "1.2.3.x")}
 
 
 class TestFeaturePairs:
     def test_truncates_ip_names(self):
-        pairs = feature_pairs([RawFeatureLine("ip", "1.2.3.4"), RawFeatureLine("api", "x")])
-        assert pairs == {("1.2.3.x", FeatureKind.IP_ADDRESS), ("x", FeatureKind.API)}
-        for name, kind in pairs:
-            if kind is FeatureKind.IP_ADDRESS:
-                assert name.endswith(".x")
+        truncated: dict[str, str] = {}
+        keys = feature_keys("ip::1.2.3.4\napi::x\n", {}, truncated)
+        assert keys == {("ip", "1.2.3.x"), ("api", "x")}
+        assert truncated == {"1.2.3.4": "1.2.3.x"}
 
-    def test_unresolved_url_is_an_error(self):
-        with pytest.raises(ParseError):
-            feature_pairs([RawFeatureLine("url", "evil.example")])
+    def test_unresolved_url_is_never_a_feature(self):
+        assert feature_keys("url::evil.example\n", {}, {}) == set()
+        assert feature_keys("url::evil.example\n", {"evil.example": "1.2.3.4"}, {}) == {
+            ("ip", "1.2.3.x")
+        }
 
 
 class TestManifest:
