@@ -43,6 +43,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: float, kind: type = float):
+    """argparse type: a finite `kind` >= low; a bad value exits 1 naming its flag."""
+    rule = "finite" if low == -math.inf else f"finite and >= {low:g}"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+def _ratio_list(text: str) -> list[float]:
+    return [_at_least(0)(r) for r in text.split(",") if r.strip()]
+
+
 def _seed_from_env() -> int:
     raw = os.environ.get("PUDROID_SEED", "0")
     try:
@@ -140,7 +158,7 @@ def build_parser() -> _Parser:
 
     p_sel = sub.add_parser("select-features", help="occurrence-threshold selection")
     p_sel.add_argument("--dataset", required=True)
-    p_sel.add_argument("--eta", type=float, default=2.0)
+    p_sel.add_argument("--eta", type=_at_least(1), default=2.0)
     p_sel.add_argument("--tm-override", type=int, default=None)
     p_sel.add_argument("--tb-override", type=int, default=None)
     p_sel.add_argument("--out", required=True)
@@ -151,7 +169,7 @@ def build_parser() -> _Parser:
     p_clean.add_argument("--manifest", default=None)
     p_clean.add_argument("--ipmap", default=None)
     p_clean.add_argument("--split-fraction", type=float, default=0.2)
-    p_clean.add_argument("--rescale-trigger", type=float, default=0.7)
+    p_clean.add_argument("--rescale-trigger", type=_at_least(-math.inf), default=0.7)
     p_clean.add_argument("--rescale-target", type=float, default=1.0)
     p_clean.add_argument("--discard", action="store_true", help="drop contaminants instead of relabeling")
     p_clean.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
@@ -173,10 +191,10 @@ def build_parser() -> _Parser:
         "--family-exclusive", action="store_true",
         help="give each family its own disjoint signal block",
     )
-    p_exp.add_argument("--iterations", type=int, default=5)
-    p_exp.add_argument("--step", type=int, default=100)
-    p_exp.add_argument("--ratios", default="1,2,3,4,5,6,7,8")
-    p_exp.add_argument("--ratio", type=float, default=8.0)
+    p_exp.add_argument("--iterations", type=_at_least(0, int), default=5)
+    p_exp.add_argument("--step", type=_at_least(1, int), default=100)
+    p_exp.add_argument("--ratios", type=_ratio_list, default="1,2,3,4,5,6,7,8")
+    p_exp.add_argument("--ratio", type=_at_least(0), default=8.0)
     p_exp.add_argument("--holdout-family", type=int, default=None)
     p_exp.add_argument("--split-fraction", type=float, default=0.2)
     p_exp.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
@@ -260,11 +278,10 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
             split_fraction=args.split_fraction,
         )
     elif args.protocol == "rq2":
-        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-        if not ratios:
+        if not args.ratios:
             raise UsageError("--ratios needs at least one ratio")
         report = protocol_rq2(
-            base, ratios, cfg, seed=args.seed, split_fraction=args.split_fraction
+            base, args.ratios, cfg, seed=args.seed, split_fraction=args.split_fraction
         )
     elif args.protocol == "rq3":
         report = protocol_rq3(

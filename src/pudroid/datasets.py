@@ -3,27 +3,32 @@
 from __future__ import annotations
 
 import json
+from itertools import starmap
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .features import KIND_OF, AppSample, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
+from .features import KIND_OF, FeatureKind, FeatureSpace, PUDataset, SampleRows
 from .report import DATASET_SCHEMA
 
 _MISSING = object()
 
 
+def _row_slices(rows: SampleRows):
+    """(id, on-indices, hidden or None) per row, as plain Python values."""
+    on, bounds = rows.indices.tolist(), rows.indptr.tolist()
+    for sid, hidden, a, b in zip(rows.ids, rows.hidden.tolist(), bounds, bounds[1:]):
+        yield sid, on[a:b], None if hidden < 0 else hidden
+
+
 def dataset_to_dict(ds: PUDataset) -> dict:
-    def sample_dict(s: AppSample) -> dict:
-        out = {"id": s.id, "on": list(s.features.indices)}
-        if s.hidden is not None:
-            out["hidden"] = s.hidden
-        return out
+    def sample_dict(sid: str, on: list[int], hidden: int | None) -> dict:
+        return {"id": sid, "on": on, **({} if hidden is None else {"hidden": hidden})}
 
     return {
         "schema": DATASET_SCHEMA,
         "features": [[name, kind.value] for name, kind in ds.space.features],
-        "positives": [sample_dict(s) for s in ds.positives],
-        "unlabeled": [sample_dict(s) for s in ds.unlabeled],
+        "positives": list(starmap(sample_dict, _row_slices(ds.positives))),
+        "unlabeled": list(starmap(sample_dict, _row_slices(ds.unlabeled))),
     }
 
 
@@ -56,22 +61,26 @@ def dataset_from_dict(data: dict) -> PUDataset:
             raise ValueError(f"dataset JSON: {path}[1] must be one of {sorted(KIND_OF)}, got {kind!r}")
         return _at(pair, 0, str, path), KIND_OF[kind]
 
-    def sample(entries: list, i: int, path: str, discovery: int) -> AppSample:
-        entry = _at(entries, i, dict, path)
-        path += f"[{i}]"
-        on = _at(entry, "on", list, path)
-        if not set(map(type, on)) <= {int}:
-            raise ValueError(f"dataset JSON: {path}.on must hold only integers")
-        hidden = entry.get("hidden")
-        if "hidden" in entry and not (type(hidden) is int and hidden in (0, 1)):
-            raise ValueError(f"dataset JSON: {path}.hidden must be 0 or 1, got {json.dumps(hidden)}")
-        return AppSample(_at(entry, "id", str, path), SparseBinaryVector(tuple(on)), discovery, hidden)
+    def group(entries: list, path: str) -> SampleRows:
+        ids, rows, hidden = [], [], []
+        for i in range(len(entries)):
+            entry, at = _at(entries, i, dict, path), f"{path}[{i}]"
+            on = _at(entry, "on", list, at)
+            if not set(map(type, on)) <= {int}:
+                raise ValueError(f"dataset JSON: {at}.on must hold only integers")
+            h = entry.get("hidden", -1)
+            if "hidden" in entry and not (type(h) is int and h in (0, 1)):
+                raise ValueError(f"dataset JSON: {at}.hidden must be 0 or 1, got {json.dumps(h)}")
+            ids.append(_at(entry, "id", str, at))
+            rows.append(on)
+            hidden.append(h)
+        return SampleRows.build(ids, rows, hidden)
 
     pairs, pos, unl = (_at(data, key, list, "$") for key in ("features", "positives", "unlabeled"))
     return PUDataset(
         FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs)))),
-        tuple(sample(pos, i, "$.positives", 1) for i in range(len(pos))),
-        tuple(sample(unl, i, "$.unlabeled", 0) for i in range(len(unl))),
+        group(pos, "$.positives"),
+        group(unl, "$.unlabeled"),
     )
 
 
@@ -84,10 +93,10 @@ def _array(items: list[str], indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
-def _sample(s: AppSample) -> str:
-    hidden = "" if s.hidden is None else f'      "hidden": {s.hidden},\n'
-    on = _array(list(map(str, s.features.indices)), "      ")
-    return f'{{\n{hidden}      "id": {_quote(s.id)},\n      "on": {on}\n    }}'
+def _sample(sid: str, on: list[int], hidden: int | None) -> str:
+    hidden = "" if hidden is None else f'      "hidden": {hidden},\n'
+    on = _array(list(map(str, on)), "      ")
+    return f'{{\n{hidden}      "id": {_quote(sid)},\n      "on": {on}\n    }}'
 
 
 def save_dataset(ds: PUDataset, path: str | Path) -> None:
@@ -100,9 +109,9 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
     ]
     text = (
         f'{{\n  "features": {_array(features, "  ")},\n'
-        f'  "positives": {_array(list(map(_sample, ds.positives)), "  ")},\n'
+        f'  "positives": {_array(list(starmap(_sample, _row_slices(ds.positives))), "  ")},\n'
         f'  "schema": {_quote(DATASET_SCHEMA)},\n'
-        f'  "unlabeled": {_array(list(map(_sample, ds.unlabeled)), "  ")}\n}}\n'
+        f'  "unlabeled": {_array(list(starmap(_sample, _row_slices(ds.unlabeled))), "  ")}\n}}\n'
     )
     Path(path).write_text(text, encoding="utf-8")
 

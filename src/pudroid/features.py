@@ -1,4 +1,4 @@
-"""Core domain types: feature space, sparse binary vectors, samples, datasets.
+"""Core domain types: feature space, CSR sample rows, datasets.
 
 Everything here is immutable after construction and safe to share between
 threads. No I/O.
@@ -6,10 +6,11 @@ threads. No I/O.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,82 +62,106 @@ class FeatureSpace:
         return {(kind.value, name): i for i, (name, kind) in enumerate(self.features)}
 
 
-@dataclass(frozen=True)
-class SparseBinaryVector:
-    """Set-of-ones representation of a 0/1 vector; indices strictly increasing."""
-
-    indices: tuple[int, ...]
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "SparseBinaryVector":
-        return cls(tuple(sorted(set(map(int, indices)))))
-
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if idx and min(idx) < 0:
-            raise DimensionError("negative feature index")
-        if not all(map(operator.lt, idx, idx[1:])):
-            raise DimensionError("indices must be strictly increasing")
+def offsets(lengths: Sequence[int]) -> np.ndarray:
+    """The indptr of rows with the given lengths."""
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
 
 
-@dataclass(frozen=True)
-class AppSample:
-    """One app: id, binary feature vector, discovery state z, optional hidden y.
+@dataclass(frozen=True, eq=False)
+class SampleRows:
+    """Samples as CSR rows: sample ids[i] has the strictly increasing on-indices
+    indices[indptr[i]:indptr[i + 1]] and the ground truth hidden[i] (-1: absent).
 
-    hidden is ground truth and exists only on harness-generated data; the
-    learning pipeline never reads it.
+    hidden exists only on harness-generated data; the learning pipeline never
+    reads it. Compare instances through datasets.dataset_to_dict.
     """
 
-    id: str
-    features: SparseBinaryVector
-    discovery: int
-    hidden: Optional[int] = None
+    ids: tuple[str, ...]
+    indptr: np.ndarray  # int64, len(ids) + 1
+    indices: np.ndarray  # int64
+    hidden: np.ndarray  # int64
+
+    @classmethod
+    def build(cls, ids: Sequence[str], rows: Sequence[Sequence[int]],
+              hidden: Sequence[int]) -> SampleRows:
+        """Rows from per-sample id, on-index and hidden sequences."""
+        indptr = offsets(list(map(len, rows)))
+        try:
+            indices = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+        except OverflowError:  # checked as Python ints, an index beyond int64 never validates
+            indices = np.array(list(chain.from_iterable(rows)), dtype=object)
+        return cls(tuple(ids), indptr, indices, np.array(hidden, dtype=np.int64))
 
     def __post_init__(self) -> None:
-        if self.discovery not in (0, 1):
-            raise DatasetError(f"discovery must be 0 or 1, got {self.discovery}")
-        if self.hidden not in (None, 0, 1):
-            raise DatasetError(f"hidden must be 0, 1 or absent, got {self.hidden}")
-        if self.discovery == 1 and self.hidden == 0:
-            raise DatasetError(
-                f"sample {self.id!r}: a known-benign sample cannot be labeled positive"
-            )
+        idx, starts = self.indices, self.indptr[1:-1]
+        bad_hidden = self.hidden[(self.hidden < -1) | (self.hidden > 1)]
+        if len(bad_hidden):
+            raise DatasetError(f"hidden must be 0, 1 or absent, got {bad_hidden[0]}")
+        if len(idx) and idx.min() < 0:
+            raise DimensionError("negative feature index")
+        step_down = idx[1:] <= idx[:-1]
+        # each row's first index may step down from the previous row's last
+        step_down[starts[(starts > 0) & (starts < len(idx))] - 1] = False
+        if step_down.any():
+            raise DimensionError("indices must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __add__(self, other: SampleRows) -> SampleRows:
+        return SampleRows(
+            self.ids + other.ids,
+            np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.hidden, other.hidden]),
+        )
+
+    def take(self, rows: Sequence[int]) -> SampleRows:
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = np.diff(self.indptr)[rows]
+        indptr = offsets(lengths)
+        at = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        ids = tuple(map(self.ids.__getitem__, rows.tolist()))
+        return SampleRows(ids, indptr, self.indices[at], self.hidden[rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PUDataset:
-    """Samples partitioned into positive group P (z=1) and unlabeled group U (z=0)."""
+    """Samples partitioned into positive group P (z=1) and unlabeled group U (z=0).
+
+    Group membership is the label z: a sample's group is all the learner sees.
+    """
 
     space: FeatureSpace
-    positives: tuple[AppSample, ...]
-    unlabeled: tuple[AppSample, ...]
+    positives: SampleRows
+    unlabeled: SampleRows
 
     def __post_init__(self) -> None:
-        for s in self.positives:
-            if s.discovery != 1:
-                raise DatasetError(f"sample {s.id!r} in P must have discovery=1")
-        for s in self.unlabeled:
-            if s.discovery != 0:
-                raise DatasetError(f"sample {s.id!r} in U must have discovery=0")
-        ids = [s.id for s in self.positives] + [s.id for s in self.unlabeled]
-        if len(set(ids)) != len(ids):
+        benign = np.flatnonzero(self.positives.hidden == 0)
+        if len(benign):
+            raise DatasetError(
+                f"sample {self.positives.ids[benign[0]]!r}: "
+                "a known-benign sample cannot be labeled positive"
+            )
+        rows, d = self.samples, self.space.dimension
+        if len(set(rows.ids)) != len(rows):
             raise DatasetError("sample ids must be unique across P and U")
-        d = self.space.dimension
-        for s in self.positives + self.unlabeled:
-            if s.features.indices and s.features.indices[-1] >= d:
-                raise DimensionError(
-                    f"sample {s.id!r} has feature index outside space of dimension {d}"
-                )
+        outside = np.flatnonzero(rows.indices >= d)
+        if len(outside):
+            row = np.searchsorted(rows.indptr, outside[0], side="right") - 1
+            raise DimensionError(
+                f"sample {rows.ids[row]!r} has feature index outside space of dimension {d}"
+            )
 
-    @property
-    def samples(self) -> tuple[AppSample, ...]:
+    @cached_property
+    def samples(self) -> SampleRows:
+        """P then U."""
         return self.positives + self.unlabeled
 
 
-def dense_matrix(samples: Sequence[AppSample], dimension: int) -> np.ndarray:
-    """(n, dimension) float64 0/1 rows: the one sparse-to-dense boundary."""
-    out = np.zeros((len(samples), dimension), dtype=np.float64)
-    for row, s in enumerate(samples):
-        if s.features.indices:
-            out[row, list(s.features.indices)] = 1.0
+def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
+    """(len(rows), dimension) float64 0/1 rows: the one sparse-to-dense boundary."""
+    out = np.zeros((len(rows), dimension), dtype=np.float64)
+    out[np.repeat(np.arange(len(rows)), np.diff(rows.indptr)), rows.indices] = 1.0
     return out

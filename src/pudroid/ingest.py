@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .features import AppSample, DatasetError, FeatureSpace, PUDataset, SparseBinaryVector
+from .features import DatasetError, FeatureSpace, PUDataset, SampleRows
 
 KIND_TAGS = ("permission", "api", "url", "ip")
 
@@ -140,7 +140,7 @@ def build_dataset(
     resolution and IP truncation, in the canonical (kind, name) order.
     """
     base = Path(base_dir)
-    per_app: list[tuple[ManifestRow, set[tuple[str, str]]]] = []
+    per_app: list[set[tuple[str, str]]] = []
     all_keys: set[tuple[str, str]] = set()
     truncated: dict[str, str] = {}
     for row in manifest:
@@ -149,17 +149,19 @@ def build_dataset(
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise IOError(f"cannot read feature file {path}: {exc}") from exc
-        keys = feature_keys(text, resolver, truncated)
-        per_app.append((row, keys))
+        try:
+            keys = feature_keys(text, resolver, truncated)
+        except ParseError as exc:
+            raise ParseError(f"{path} (app {row.app_id!r}): {exc}") from exc
+        per_app.append(keys)
         all_keys |= keys
 
     space = FeatureSpace.build(all_keys)
     index = space.index_of()
-    positives: list[AppSample] = []
-    unlabeled: list[AppSample] = []
-    for row, keys in per_app:
-        vec = SparseBinaryVector(tuple(sorted(map(index.__getitem__, keys))))
-        discovery = 1 if row.group is Group.POSITIVE else 0
-        sample = AppSample(row.app_id, vec, discovery)
-        (positives if discovery else unlabeled).append(sample)
-    return PUDataset(space, tuple(positives), tuple(unlabeled))
+    rows = SampleRows.build(
+        [row.app_id for row in manifest],
+        [sorted(map(index.__getitem__, keys)) for keys in per_app],
+        [-1] * len(manifest),
+    )
+    members = {g: [i for i, row in enumerate(manifest) if row.group is g] for g in Group}
+    return PUDataset(space, rows.take(members[Group.POSITIVE]), rows.take(members[Group.UNLABELED]))

@@ -59,31 +59,18 @@ def top_components(X: np.ndarray, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
     return comps, variances
 
 
-def pca_project(ds: PUDataset, components: int = 2) -> PcaProjection:
+def pca_project(ds: PUDataset) -> PcaProjection:
     """Project every sample onto the top principal directions."""
     samples = ds.samples
-    if not samples:
+    if not len(samples):
         raise ValueError("cannot project an empty dataset")
     X = dense_matrix(samples, ds.space.dimension)
     X = X - X.mean(axis=0)
-    if not np.any(X):
-        rows = tuple(
-            (s.id, 0.0, 0.0, "positive" if s.discovery else "unlabeled")
-            for s in samples
-        )
-        return PcaProjection(rows, zero_variance=True)
-    comps, _ = top_components(X, components)
-    coords = X @ comps.T
-    rows = tuple(
-        (
-            s.id,
-            float(coords[i, 0]),
-            float(coords[i, 1]),
-            "positive" if s.discovery else "unlabeled",
-        )
-        for i, s in enumerate(samples)
-    )
-    return PcaProjection(rows, zero_variance=False)
+    zero_variance = not np.any(X)
+    coords = np.zeros((len(X), 2)) if zero_variance else X @ top_components(X)[0].T
+    groups = ["positive"] * len(ds.positives) + ["unlabeled"] * len(ds.unlabeled)
+    rows = zip(samples.ids, coords[:, 0].tolist(), coords[:, 1].tolist(), groups)
+    return PcaProjection(tuple(rows), zero_variance=zero_variance)
 
 
 def projection_csv(projection: PcaProjection) -> str:

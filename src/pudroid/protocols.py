@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Learner, TrainConfig, train
-from .features import AppSample, PUDataset, dense_matrix
+from .features import PUDataset, dense_matrix
 from .metrics import Metrics, compute_metrics
 from .pu import clean_and_retrain, training_arrays
 from .report import ExperimentReport, ReportRow
@@ -34,49 +34,43 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def split_test(
-    data: SyntheticData, seed: int
-) -> tuple[list[AppSample], list[AppSample], list[AppSample]]:
-    """(training true positives, training true negatives, test samples).
+def split_test(data: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(training true positives, training true negatives, test samples), as
+    ascending row indices of data.dataset.samples per true class.
 
     One third of each true class goes to the test set, chosen by seed.
     """
-    samples = data.dataset.samples
-    pos = [s for s in samples if s.hidden == 1]
-    neg = [s for s in samples if s.hidden == 0]
+    hidden = data.dataset.samples.hidden
     rng = _rng(seed, 0)
 
-    def take_third(group: list[AppSample]) -> tuple[list[AppSample], list[AppSample]]:
-        n_test = len(group) // 3
-        chosen = set(rng.permutation(len(group))[:n_test].tolist())
-        test = [s for i, s in enumerate(group) if i in chosen]
-        rest = [s for i, s in enumerate(group) if i not in chosen]
-        return rest, test
+    def take_third(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chosen = np.sort(rng.permutation(len(group))[: len(group) // 3])
+        return np.delete(group, chosen), group[chosen]
 
-    pos_tr, pos_te = take_third(pos)
-    neg_tr, neg_te = take_third(neg)
-    return pos_tr, neg_tr, pos_te + neg_te
+    pos_tr, pos_te = take_third(np.flatnonzero(hidden == 1))
+    neg_tr, neg_te = take_third(np.flatnonzero(hidden == 0))
+    return pos_tr, neg_tr, np.concatenate([pos_te, neg_te])
 
 
-def _held_out(base: SyntheticData, seed: int) -> tuple[list, list, np.ndarray, list]:
-    """(training true positives, training true negatives, X_test, y_test)."""
+def _held_out(base: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(training true positive rows, training true negative rows, X_test, y_test)."""
+    samples = base.dataset.samples
     pos_tr, neg_tr, test = split_test(base, seed)
-    X_test = dense_matrix(test, base.dataset.space.dimension)
-    return pos_tr, neg_tr, X_test, [s.hidden for s in test]
+    X_test = dense_matrix(samples.take(test), base.dataset.space.dimension)
+    return pos_tr, neg_tr, X_test, samples.hidden[test].tolist()
 
 
-def _as_unlabeled(s: AppSample) -> AppSample:
-    return AppSample(s.id, s.features, 0, s.hidden)
+def _dataset(base: SyntheticData, p_rows: np.ndarray, u_rows: np.ndarray) -> PUDataset:
+    samples = base.dataset.samples
+    return PUDataset(base.dataset.space, samples.take(p_rows), samples.take(u_rows))
 
 
 def _move_positives(
-    base: SyntheticData, pos_tr: list, neg_tr: list, k: int, rng: np.random.Generator
+    base: SyntheticData, pos_tr: np.ndarray, neg_tr: np.ndarray, k: int, rng: np.random.Generator
 ) -> PUDataset:
     """Training set with k random true positives hidden in U after the negatives."""
-    moved_idx = set(rng.permutation(len(pos_tr))[:k].tolist())
-    p_group = tuple(s for i, s in enumerate(pos_tr) if i not in moved_idx)
-    moved = tuple(_as_unlabeled(s) for i, s in enumerate(pos_tr) if i in moved_idx)
-    return PUDataset(base.dataset.space, p_group, tuple(neg_tr) + moved)
+    moved = np.sort(rng.permutation(len(pos_tr))[:k])
+    return _dataset(base, np.delete(pos_tr, moved), np.concatenate([neg_tr, pos_tr[moved]]))
 
 
 def _evaluate(scores: np.ndarray, truth: Sequence[int]) -> Metrics:
@@ -182,23 +176,19 @@ def protocol_rq3(
 
     pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
     cfg_lin = replace(cfg, learner=Learner.LINEAR)
+    ids = base.dataset.samples.ids
+    family = np.array([base.family_of[ids[r]] for r in pos_tr.tolist()])
 
     rows = []
     for fam in targets:
-        fam_pos = [s for s in pos_tr if base.family_of[s.id] == fam]
-        other_pos = [s for s in pos_tr if base.family_of[s.id] != fam]
-        if not fam_pos or not other_pos:
+        fam_pos, other_pos = pos_tr[family == fam], pos_tr[family != fam]
+        if not len(fam_pos) or not len(other_pos):
             raise ProtocolError(f"family {fam} leaves an empty training group")
         n_mix = min(len(fam_pos), len(neg_tr))
         rng = _rng(seed, 1, fam)
-        contaminants = [
-            _as_unlabeled(fam_pos[i])
-            for i in sorted(rng.permutation(len(fam_pos))[:n_mix].tolist())
-        ]
-        benign = [
-            neg_tr[i] for i in sorted(rng.permutation(len(neg_tr))[:n_mix].tolist())
-        ]
-        ds = PUDataset(base.dataset.space, tuple(other_pos), tuple(benign + contaminants))
+        contaminants = fam_pos[np.sort(rng.permutation(len(fam_pos))[:n_mix])]
+        benign = neg_tr[np.sort(rng.permutation(len(neg_tr))[:n_mix])]
+        ds = _dataset(base, other_pos, np.concatenate([benign, contaminants]))
         pu_m, npu_m = _run_pair(
             ds, cfg_lin, X_test, y_test, split_fraction, _child_seed(seed, 2, fam)
         )
@@ -244,24 +234,22 @@ def protocol_rq4(
         raise ProtocolError(f"ratio {ratio} is infeasible for this dataset")
 
     rng = _rng(seed, 1)
-    malware = [pos_tr[i] for i in sorted(rng.permutation(len(pos_tr))[:m].tolist())]
-    mislabeled_idx = set(rng.permutation(len(neg_tr))[:k].tolist())
-    mislabeled = [s for i, s in enumerate(neg_tr) if i in mislabeled_idx]
-    benign_rest = [s for i, s in enumerate(neg_tr) if i not in mislabeled_idx]
+    malware = pos_tr[np.sort(rng.permutation(len(pos_tr))[:m])]
+    mislabeled = np.sort(rng.permutation(len(neg_tr))[:k])
+    benign_rest = base.dataset.samples.take(np.delete(neg_tr, mislabeled))
+    corrupted = base.dataset.samples.take(np.concatenate([malware, neg_tr[mislabeled]]))
 
-    # swapped view: benign is the positive class
-    swapped_p = tuple(AppSample(s.id, s.features, 1, 1) for s in benign_rest)
-    swapped_u = tuple(
-        [AppSample(s.id, s.features, 0, 0) for s in malware]
-        + [AppSample(s.id, s.features, 0, 1) for s in mislabeled]
+    # swapped view: benign is the positive class, so the hidden truth flips too
+    swapped_ds = PUDataset(
+        base.dataset.space,
+        replace(benign_rest, hidden=1 - benign_rest.hidden),
+        replace(corrupted, hidden=1 - corrupted.hidden),
     )
-    swapped_ds = PUDataset(base.dataset.space, swapped_p, swapped_u)
 
     # NPU sees the corrupted original labels, in the same row order as the
     # swapped dataset so the clean case degenerates identically
-    npu_samples = benign_rest + malware + mislabeled
-    X_npu = dense_matrix(npu_samples, base.dataset.space.dimension)
-    z_npu = np.array([0] * len(benign_rest) + [1] * (len(malware) + len(mislabeled)))
+    X_npu = dense_matrix(benign_rest + corrupted, base.dataset.space.dimension)
+    z_npu = np.array([0] * len(benign_rest) + [1] * len(corrupted))
 
     rows = []
     for learner in learners:

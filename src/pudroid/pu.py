@@ -2,13 +2,13 @@
 
 The engine works on the rows of one matrix: `training_arrays` turns P ∪ U
 into (X, z) once, and every later step takes row indices or row slices of X.
-The discovery classifier f is trained on z labels only. The label frequency
-e = p(z=1 | y=1) is estimated as the mean of f over the positive rows P' of a
-held-out validation split, and the adjusted score g(x) = f(x) / e recovers
-the true posterior under the discovered-at-random assumption. Unlabeled
-samples with g > 0.5 are flagged as contaminants, then the final detector is
-retrained on the corrected labels. Ground-truth hidden labels are never read
-by any step here.
+The classifier f of z given x is trained on group labels only. The label
+frequency e = p(z=1 | y=1) is estimated as the mean of f over the positive
+rows P' of a held-out validation split, and the adjusted score
+g(x) = f(x) / e recovers the true posterior under the discovered-at-random
+assumption. Unlabeled samples with g > 0.5 are flagged as contaminants, then
+the final detector is retrained on the corrected labels. Ground-truth hidden
+labels are never read by any step here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ProbabilisticClassifier, TrainConfig, TrainingError, train
-from .features import AppSample, PUDataset, dense_matrix
+from .features import PUDataset, dense_matrix
 
 E_EPSILON = 1e-6
 
@@ -30,11 +30,10 @@ class SplitError(ValueError):
 
 
 def training_arrays(ds: PUDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(X, z) over P then U; the z labels are the training targets."""
-    samples = ds.samples
-    X = dense_matrix(samples, ds.space.dimension)
-    y = np.array([s.discovery for s in samples], dtype=np.int64)
-    return X, y
+    """(X, z) over P then U; the z labels (a sample's group) are the training targets."""
+    X = dense_matrix(ds.samples, ds.space.dimension)
+    z = np.repeat(np.array([1, 0], dtype=np.int64), [len(ds.positives), len(ds.unlabeled)])
+    return X, z
 
 
 def split_validation(z: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,24 +145,21 @@ def clean_and_retrain(
     pu = apply_rescale_heuristic(
         PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
-    u_ids = [s.id for s in ds.unlabeled]
-    contaminants = detect_contaminants(pu, X[len(ds.positives):], u_ids)
+    u = ds.unlabeled
+    contaminants = detect_contaminants(pu, X[len(ds.positives):], u.ids)
     del X  # released before the retrain matrix is built
-    flagged = set(contaminants)
+    is_flagged = np.isin(u.ids, contaminants)
 
-    kept_u = tuple(s for s in ds.unlabeled if s.id not in flagged)
-    if discard:
-        cleaned = PUDataset(ds.space, ds.positives, kept_u)
-    else:
-        moved = tuple(AppSample(s.id, s.features, 1, None) for s in ds.unlabeled if s.id in flagged)
-        cleaned = PUDataset(ds.space, ds.positives + moved, kept_u)
+    moved = u.take(np.flatnonzero(is_flagged))
+    p = ds.positives if discard else ds.positives + replace(moved, hidden=np.full(len(moved), -1))
+    cleaned = PUDataset(ds.space, p, u.take(np.flatnonzero(~is_flagged)))
 
     Xc, yc = training_arrays(cleaned)
     try:
         final_model = train(Xc, yc, cfg)
     except TrainingError as exc:  # P is non-empty, so only an all-flagged U leaves one class
         raise TrainingError(
-            f"retrain: all {len(flagged)} unlabeled samples were flagged; "
+            f"retrain: all {len(contaminants)} unlabeled samples were flagged; "
             f"the cleaned set has one class"
         ) from exc
     return CleanResult(

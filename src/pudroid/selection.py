@@ -10,12 +10,12 @@ frequent in either class, which is what makes them discriminative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .features import AppSample, DimensionError, FeatureSpace, PUDataset, SparseBinaryVector
+from .features import DimensionError, FeatureSpace, PUDataset, SampleRows, offsets
 
 
 class ConfigError(ValueError):
@@ -53,9 +53,8 @@ class OccurrenceCounts:
 def count_occurrences(ds: PUDataset) -> OccurrenceCounts:
     """Per-feature occurrence counts over P and over U."""
 
-    def count(group: Sequence[AppSample]) -> tuple[int, ...]:
-        on = np.array([i for s in group for i in s.features.indices], dtype=np.int64)
-        return tuple(np.bincount(on, minlength=ds.space.dimension).tolist())
+    def count(group: SampleRows) -> tuple[int, ...]:
+        return tuple(np.bincount(group.indices, minlength=ds.space.dimension).tolist())
 
     return OccurrenceCounts(count(ds.positives), count(ds.unlabeled))
 
@@ -74,11 +73,8 @@ def compute_thresholds(ds: PUDataset, eta: float = 2.0) -> SelectionThresholds:
 
 def select_features(counts: OccurrenceCounts, th: SelectionThresholds) -> list[int]:
     """Indices retained under the OR rule, sorted ascending."""
-    return [
-        i
-        for i, (cp, cu) in enumerate(zip(counts.count_p, counts.count_u))
-        if cp >= th.tm or cu >= th.tb
-    ]
+    pairs = enumerate(zip(counts.count_p, counts.count_u))
+    return [i for i, (cp, cu) in pairs if cp >= th.tm or cu >= th.tb]
 
 
 def project_dataset(ds: PUDataset, retained: Sequence[int]) -> PUDataset:
@@ -89,17 +85,13 @@ def project_dataset(ds: PUDataset, retained: Sequence[int]) -> PUDataset:
             raise DimensionError(f"retained index {i} out of range for dimension {d}")
     retained_sorted = sorted(retained)
     new_space = FeatureSpace(tuple(ds.space.features[i] for i in retained_sorted))
-    remap = [-1] * d  # old index -> new index, -1 for a dropped feature
-    for new, old in enumerate(retained_sorted):
-        remap[old] = new
+    remap = np.full(d, -1, dtype=np.int64)  # old index -> new index, -1 for a dropped feature
+    remap[retained_sorted] = np.arange(len(retained_sorted))
 
-    def remap_sample(s: AppSample) -> AppSample:
+    def remap_rows(rows: SampleRows) -> SampleRows:
         # the remap is increasing, so the kept indices stay sorted
-        kept = filter((-1).__lt__, map(remap.__getitem__, s.features.indices))
-        return AppSample(s.id, SparseBinaryVector(tuple(kept)), s.discovery, s.hidden)
+        new = remap[rows.indices]
+        kept = new >= 0
+        return replace(rows, indptr=offsets(kept)[rows.indptr], indices=new[kept])
 
-    return PUDataset(
-        new_space,
-        tuple(remap_sample(s) for s in ds.positives),
-        tuple(remap_sample(s) for s in ds.unlabeled),
-    )
+    return PUDataset(new_space, remap_rows(ds.positives), remap_rows(ds.unlabeled))

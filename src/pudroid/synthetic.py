@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import AppSample, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
+from .features import FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
 
 SIGNAL_RATE = 0.8
 BACKGROUND_RATE = 0.05
@@ -94,25 +94,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     pos_X = rng.random((spec.n_positive, spec.dimension)) < pos_rates[families]
     neg_X = rng.random((spec.n_negative, spec.dimension)) < neg_rates
-    z = (rng.random(spec.n_positive) < spec.label_frequency_c).astype(int)
+    labeled = rng.random(spec.n_positive) < spec.label_frequency_c
 
-    space = _feature_space(spec.dimension)
-    positives: list[AppSample] = []
-    unlabeled: list[AppSample] = []
-    family_of: dict = {}
-    for i in range(spec.n_positive):
-        sid = f"pos-{i:05d}"
-        family_of[sid] = int(families[i])
-        vec = SparseBinaryVector(tuple(int(j) for j in np.flatnonzero(pos_X[i])))
-        sample = AppSample(sid, vec, int(z[i]), hidden=1)
-        (positives if z[i] else unlabeled).append(sample)
-    for i in range(spec.n_negative):
-        vec = SparseBinaryVector(tuple(int(j) for j in np.flatnonzero(neg_X[i])))
-        unlabeled.append(AppSample(f"neg-{i:05d}", vec, 0, hidden=0))
-
-    return SyntheticData(
-        PUDataset(space, tuple(positives), tuple(unlabeled)), family_of, spec
-    )
+    # one CSR block of all samples, positives first; P and U are gathered from it
+    n_pos, n = spec.n_positive, spec.n_positive + spec.n_negative
+    ids = [f"pos-{i:05d}" for i in range(n_pos)] + [f"neg-{i:05d}" for i in range(n - n_pos)]
+    row_of, on = np.nonzero(np.concatenate([pos_X, neg_X]))
+    hidden = (np.arange(n) < n_pos).astype(np.int64)
+    rows = SampleRows(tuple(ids), offsets(np.bincount(row_of, minlength=n)), on, hidden)
+    p_rows = np.flatnonzero(labeled)
+    u_rows = np.concatenate([np.flatnonzero(~labeled), np.arange(n_pos, n)])
+    dataset = PUDataset(_feature_space(spec.dimension), rows.take(p_rows), rows.take(u_rows))
+    return SyntheticData(dataset, dict(zip(ids, families.tolist())), spec)
 
 
 def analytic_posterior(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
@@ -134,4 +127,5 @@ def analytic_posterior(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
 
 def planted_contaminant_ids(data: SyntheticData) -> list[str]:
     """Ids of true positives sitting in the unlabeled group."""
-    return sorted(s.id for s in data.dataset.unlabeled if s.hidden == 1)
+    u = data.dataset.unlabeled
+    return sorted(u.ids[i] for i in np.flatnonzero(u.hidden == 1))

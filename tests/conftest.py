@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from pudroid.features import (
-    AppSample,
-    FeatureKind,
-    FeatureSpace,
-    PUDataset,
-    SparseBinaryVector,
-)
+from pudroid.features import FeatureKind, FeatureSpace, PUDataset, SampleRows
 
 
 def space_of(n: int, kind: FeatureKind = FeatureKind.API) -> FeatureSpace:
     return FeatureSpace(tuple((f"f{i:03d}", kind) for i in range(n)))
 
 
-def sample(sid: str, indices, discovery: int, hidden=None) -> AppSample:
-    return AppSample(sid, SparseBinaryVector(tuple(indices)), discovery, hidden)
+def rows_of(ids, rows, hidden=None) -> SampleRows:
+    """SampleRows from ids and on-index sequences; hidden defaults to absent."""
+    return SampleRows.build(ids, rows, [-1] * len(ids) if hidden is None else hidden)
+
+
+def row_lists(rows: SampleRows) -> list[list[int]]:
+    """The on-indices of each row, as plain lists."""
+    on, bounds = rows.indices.tolist(), rows.indptr.tolist()
+    return [on[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def dataset_from_rows(rows_p, rows_u, d: int) -> PUDataset:
     """Build a PUDataset from lists of on-index tuples for P and U."""
-    pos = tuple(sample(f"p{i}", r, 1) for i, r in enumerate(rows_p))
-    unl = tuple(sample(f"u{i}", r, 0) for i, r in enumerate(rows_u))
+    pos = rows_of([f"p{i}" for i in range(len(rows_p))], rows_p)
+    unl = rows_of([f"u{i}" for i in range(len(rows_u))], rows_u)
     return PUDataset(space_of(d), pos, unl)
 
 
@@ -34,3 +36,17 @@ def random_dataset(
     rows_p = [tuple(int(j) for j in np.flatnonzero(rng.random(d) < density)) for _ in range(n_p)]
     rows_u = [tuple(int(j) for j in np.flatnonzero(rng.random(d) < density)) for _ in range(n_u)]
     return dataset_from_rows(rows_p, rows_u, d)
+
+
+@st.composite
+def pu_datasets(draw, max_dimension: int = 12) -> PUDataset:
+    """Small datasets with empty rows anywhere and hidden labels present or absent."""
+    d = draw(st.integers(0, max_dimension))
+    on = st.sets(st.integers(0, d - 1)).map(sorted) if d else st.just([])
+
+    def group(prefix: str, hidden: list[int]) -> SampleRows:
+        rows = draw(st.lists(on, max_size=6))
+        labels = draw(st.lists(st.sampled_from(hidden), min_size=len(rows), max_size=len(rows)))
+        return rows_of([f"{prefix}{i}" for i in range(len(rows))], rows, labels)
+
+    return PUDataset(space_of(d), group("p", [-1, 1]), group("u", [-1, 0, 1]))

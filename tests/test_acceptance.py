@@ -251,7 +251,7 @@ def test_c08_planted_contaminant_recovery():
         cfg = TrainConfig(seed=seed, learner=Learner.FOREST, forest=FOREST)
         result = clean_and_retrain(data.dataset, cfg, seed=seed)
         flagged = set(result.contaminant_ids)
-        negatives = [s for s in data.dataset.unlabeled if s.hidden == 0]
+        negatives = np.flatnonzero(data.dataset.unlabeled.hidden == 0)
         recoveries.append(len(flagged & planted) / len(planted))
         fp_rates.append(len(flagged - planted) / len(negatives))
         planted_counts.append(len(planted))
@@ -435,9 +435,10 @@ def test_c13_labeling_is_independent_of_features():
         n_positive=10000, n_negative=100, label_frequency_c=0.5, seed=0
     )
     data = generate_synthetic(spec)
-    positives = [s for s in data.dataset.samples if s.hidden == 1]
-    X = dense_matrix(positives, spec.dimension).astype(float)
-    z = np.array([s.discovery for s in positives], dtype=float)
+    samples = data.dataset.samples
+    positives = np.flatnonzero(samples.hidden == 1)
+    X = dense_matrix(samples.take(positives), spec.dimension).astype(float)
+    z = (positives < len(data.dataset.positives)).astype(float)  # rows of P come first
     zc = z - z.mean()
     Xc = X - X.mean(axis=0)
     denom = np.sqrt((Xc**2).sum(axis=0)) * np.sqrt((zc**2).sum())

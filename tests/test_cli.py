@@ -117,16 +117,27 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt, message", [
-        pytest.param(lambda on: on.insert(0, -1), "negative feature index", id="negative"),
-        pytest.param(lambda on: on.reverse(), "indices must be strictly increasing", id="unsorted"),
-        pytest.param(lambda on: on.append(on[-1]), "indices must be strictly increasing", id="repeat"),
-        pytest.param(
-            lambda on: on.append(30), "has feature index outside space of dimension 30", id="range"
-        ),
+        pytest.param(lambda d: d["unlabeled"][1]["on"].insert(0, -1), "negative feature index",
+                     id="negative"),
+        pytest.param(lambda d: d["unlabeled"][1]["on"].reverse(),
+                     "indices must be strictly increasing", id="unsorted"),
+        pytest.param(lambda d: d["unlabeled"][1]["on"].append(d["unlabeled"][1]["on"][-1]),
+                     "indices must be strictly increasing", id="repeat"),
+        pytest.param(lambda d: d["unlabeled"][1]["on"].append(30),
+                     "has feature index outside space of dimension 30", id="range"),
+        # beyond int64, where numpy raises OverflowError
+        pytest.param(lambda d: d["unlabeled"][1]["on"].append(2**70),
+                     "has feature index outside space of dimension 30", id="huge"),
+        pytest.param(lambda d: d["unlabeled"][1]["on"].insert(0, -2**70),
+                     "negative feature index", id="huge-negative"),
+        pytest.param(lambda d: d["positives"][0].update(hidden=0),
+                     "known-benign sample cannot be labeled positive", id="benign-in-p"),
+        pytest.param(lambda d: d["unlabeled"][2].update(id=d["positives"][1]["id"]),
+                     "unique across P and U", id="repeated-id"),
     ])
     def test_bad_feature_index_is_data_error(self, dataset_file, tmp_path, capsys, corrupt, message):
         data = json.loads(dataset_file.read_text())
-        corrupt(data["unlabeled"][1]["on"])
+        corrupt(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         code = run(["clean", "--dataset", str(bad), "--out", str(tmp_path / "o.json")])
@@ -223,6 +234,45 @@ class TestExitCodes:
             assert proc.returncode == 2, lr  # the stage error is still raised
             assert stage in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["select-features", "--eta", "inf"], "--eta"),
+        (["select-features", "--eta", "nan"], "--eta"),
+        (["select-features", "--eta", "-3"], "--eta"),
+        (["clean", "--rescale-trigger", "nan"], "--rescale-trigger"),
+        (["experiment", "--protocol", "rq1", "--iterations", "-1"], "--iterations"),
+        (["experiment", "--protocol", "rq1", "--step", "-5"], "--step"),
+        (["experiment", "--protocol", "rq2", "--ratios", "1,nan"], "--ratios"),
+        (["experiment", "--protocol", "rq2", "--ratios", "inf"], "--ratios"),
+        (["experiment", "--protocol", "rq4", "--ratio", "nan"], "--ratio"),
+        (["experiment", "--protocol", "rq4", "--ratio", "inf"], "--ratio"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o.json"
+        inputs = ["--dataset", str(dataset_file)] if argv[0] != "experiment" else []
+        code = run([*argv, *inputs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_feature_file_names_file_and_app(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("api::getDeviceId\n")
+        (tmp_path / "b.txt").write_text("api::getDeviceId\nbroken\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("app_id,path,group\napp-a,a.txt,positive\napp-b,b.txt,unlabeled\n")
+        ipmap = tmp_path / "ipmap.tsv"
+        ipmap.write_text("")
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path / 'b.txt'} (app 'app-b'): line 2: missing '::' separator" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rq2.json"

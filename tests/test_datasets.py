@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
-from pudroid.features import AppSample, FeatureKind, FeatureSpace, PUDataset, SparseBinaryVector
+from pudroid.features import FeatureKind, FeatureSpace, PUDataset, SampleRows
 from pudroid.report import dumps
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
@@ -20,21 +20,21 @@ def datasets(draw) -> PUDataset:
     ids = draw(st.lists(TEXT, unique=True, min_size=n_p + n_u, max_size=n_p + n_u))
     on = st.sets(st.integers(0, len(names) - 1)) if names else st.just(set())
 
-    def sample(sid: str, discovery: int) -> AppSample:
-        hidden = draw(st.sampled_from([None, 1] if discovery else [None, 0, 1]))
-        return AppSample(sid, SparseBinaryVector(tuple(sorted(draw(on)))), discovery, hidden)
+    def group(ids: list[str], hidden: list[int]) -> SampleRows:
+        rows = [sorted(draw(on)) for _ in ids]
+        return SampleRows.build(ids, rows, [draw(st.sampled_from(hidden)) for _ in ids])
 
     return PUDataset(
         FeatureSpace(tuple(zip(names, kinds))),
-        tuple(sample(sid, 1) for sid in ids[:n_p]),
-        tuple(sample(sid, 0) for sid in ids[n_p:]),
+        group(ids[:n_p], [-1, 1]),
+        group(ids[n_p:], [-1, 0, 1]),
     )
 
 
 def _assert_written_as_reference(ds: PUDataset, path) -> None:
     save_dataset(ds, path)
     assert path.read_bytes() == dumps(dataset_to_dict(ds)).encode("utf-8")
-    assert load_dataset(path) == ds
+    assert dataset_to_dict(load_dataset(path)) == dataset_to_dict(ds)
 
 
 class TestWriterOracle:
@@ -45,13 +45,14 @@ class TestWriterOracle:
 
     def test_edge_datasets(self, tmp_path):
         space = FeatureSpace((('a"b\\c', FeatureKind.API), ("\x01é😀", FeatureKind.IP_ADDRESS)))
-        p = (AppSample("p\n0", SparseBinaryVector(()), 1, 1),)
-        u = (AppSample("u\t0", SparseBinaryVector((0, 1)), 0),)
+        p = SampleRows.build(["p\n0"], [()], [1])
+        u = SampleRows.build(["u\t0"], [(0, 1)], [-1])
+        empty = SampleRows.build([], [], [])
         for ds in (
             PUDataset(space, p, u),
-            PUDataset(space, (), u),  # empty P
-            PUDataset(space, p, ()),  # empty U
-            PUDataset(FeatureSpace(()), (), ()),
+            PUDataset(space, empty, u),  # empty P
+            PUDataset(space, p, empty),  # empty U
+            PUDataset(FeatureSpace(()), empty, empty),
         ):
             _assert_written_as_reference(ds, tmp_path / "ds.json")
 

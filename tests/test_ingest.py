@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import row_lists
+from pudroid.datasets import dataset_to_dict
 from pudroid.features import DatasetError, FeatureKind
 from pudroid.ingest import (
     KIND_TAGS,
@@ -296,14 +298,14 @@ class TestBuildDataset:
         names = [name for name, _ in ds.space.features]
         # canonical (kind, name) order: api, ip, permission
         assert names == ["getDeviceId", "9.8.7.x", "INTERNET", "SEND_SMS"]
-        assert [s.id for s in ds.positives] == ["mal-1"]
-        assert ds.positives[0].features.indices == (0, 1, 3)
-        assert ds.unlabeled[0].features.indices == (2,)  # unresolvable url dropped
+        assert ds.positives.ids == ("mal-1",)
+        assert row_lists(ds.positives) == [[0, 1, 3]]
+        assert row_lists(ds.unlabeled) == [[2]]  # unresolvable url dropped
 
     def test_deterministic(self, tmp_path):
         manifest, resolver = _write_corpus(tmp_path)
-        assert build_dataset(manifest, resolver, tmp_path) == build_dataset(
-            manifest, resolver, tmp_path
+        assert dataset_to_dict(build_dataset(manifest, resolver, tmp_path)) == dataset_to_dict(
+            build_dataset(manifest, resolver, tmp_path)
         )
 
     def test_missing_feature_file_is_io_error(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dataset_from_rows, random_dataset
+from conftest import dataset_from_rows, random_dataset, row_lists
 from pudroid.features import dense_matrix
 from pudroid.pca import pca_project, projection_csv, top_components
 
@@ -71,8 +71,8 @@ class TestProjection:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 10, 10, 15)
         doubled = dataset_from_rows(
-            [s.features.indices for s in ds.positives] * 2,
-            [s.features.indices for s in ds.unlabeled] * 2,
+            row_lists(ds.positives) * 2,
+            row_lists(ds.unlabeled) * 2,
             15,
         )
         a = pca_project(ds)

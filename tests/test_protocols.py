@@ -37,17 +37,17 @@ class TestSplitTest:
         pos_tr, neg_tr, test = split_test(base, seed=0)
         assert len(pos_tr) == 100 and len(neg_tr) == 300
         assert len(test) == 50 + 150
-        assert sum(s.hidden for s in test) == 50
+        assert base.dataset.samples.hidden[test].sum() == 50
 
     def test_disjoint_and_complete(self, base):
         pos_tr, neg_tr, test = split_test(base, seed=0)
-        ids = [s.id for s in pos_tr + neg_tr + test]
+        ids = [base.dataset.samples.ids[r] for r in np.concatenate([pos_tr, neg_tr, test])]
         assert len(ids) == len(set(ids)) == 600
 
     def test_seed_changes_selection(self, base):
         _, _, a = split_test(base, seed=0)
         _, _, b = split_test(base, seed=1)
-        assert {s.id for s in a} != {s.id for s in b}
+        assert set(a.tolist()) != set(b.tolist())
 
 
 class TestRq1:

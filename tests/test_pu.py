@@ -12,6 +12,7 @@ from pudroid.classifiers import (
     TrainConfig,
     TreeParams,
 )
+from pudroid.datasets import dataset_to_dict
 from pudroid.pu import (
     PUModel,
     SplitError,
@@ -169,20 +170,21 @@ class TestCleanAndRetrain:
         ds = contaminated.dataset
         result = clean_and_retrain(ds, cfg, seed=2)
         assert result.contaminant_ids
-        moved = {s.id for s in result.cleaned.positives} - {s.id for s in ds.positives}
+        cleaned_p = result.cleaned.positives
+        moved = set(cleaned_p.ids) - set(ds.positives.ids)
         assert moved == set(result.contaminant_ids)
-        by_id = {s.id: s for s in result.cleaned.positives}
+        hidden = dict(zip(cleaned_p.ids, cleaned_p.hidden.tolist()))
         for cid in result.contaminant_ids:
-            assert by_id[cid].discovery == 1
-            assert by_id[cid].hidden is None  # verdict carries no truth claim
+            assert hidden[cid] == -1  # verdict carries no truth claim
         assert len(result.cleaned.samples) == len(ds.samples)
 
     def test_discard_drops_contaminants(self, contaminated, cfg):
         ds = contaminated.dataset
         result = clean_and_retrain(ds, cfg, seed=2, discard=True)
-        assert result.cleaned.positives == ds.positives
-        kept = {s.id for s in result.cleaned.unlabeled}
-        assert kept == {s.id for s in ds.unlabeled} - set(result.contaminant_ids)
+        cleaned = dataset_to_dict(result.cleaned)
+        assert cleaned["positives"] == dataset_to_dict(ds)["positives"]
+        kept = set(result.cleaned.unlabeled.ids)
+        assert kept == set(ds.unlabeled.ids) - set(result.contaminant_ids)
 
     def test_deterministic(self, contaminated, cfg):
         a = clean_and_retrain(contaminated.dataset, cfg, seed=3)

@@ -1,7 +1,7 @@
 import json
 import math
 
-from pudroid.datasets import load_dataset, save_dataset
+from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
 from pudroid.metrics import compute_metrics
 from pudroid.report import ExperimentReport, ReportRow, dumps, write_report
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
@@ -71,7 +71,7 @@ class TestDatasetRoundTrip:
         ds = generate_synthetic(spec).dataset
         path = tmp_path / "ds.json"
         save_dataset(ds, path)
-        assert load_dataset(path) == ds
+        assert dataset_to_dict(load_dataset(path)) == dataset_to_dict(ds)
 
     def test_hidden_labels_survive_round_trip(self, tmp_path):
         ds = generate_synthetic(
@@ -81,7 +81,7 @@ class TestDatasetRoundTrip:
         path = tmp_path / "ds.json"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert [s.hidden for s in loaded.samples] == [s.hidden for s in ds.samples]
+        assert loaded.samples.hidden.tolist() == ds.samples.hidden.tolist()
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "ds.json"

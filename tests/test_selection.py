@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dataset_from_rows, random_dataset
+from conftest import dataset_from_rows, pu_datasets, random_dataset, row_lists
+from pudroid.datasets import dataset_to_dict
 from pudroid.selection import (
     ConfigError,
     OccurrenceCounts,
@@ -77,8 +82,8 @@ class TestSelection:
             th = compute_thresholds(ds, eta=float(rng.uniform(1, 4)))
             expected = []
             for i in range(25):
-                cp = sum(i in s.features.indices for s in ds.positives)
-                cu = sum(i in s.features.indices for s in ds.unlabeled)
+                cp = sum(i in row for row in row_lists(ds.positives))
+                cu = sum(i in row for row in row_lists(ds.unlabeled))
                 if cp >= th.tm or cu >= th.tb:
                     expected.append(i)
             assert select_features(count_occurrences(ds), th) == expected
@@ -89,10 +94,9 @@ class TestProjection:
         ds = dataset_from_rows([(0, 2, 4)], [(1, 2)], 5)
         out = project_dataset(ds, [2, 4])
         assert out.space.dimension == 2
-        assert out.positives[0].features.indices == (0, 1)
-        assert out.unlabeled[0].features.indices == (0,)
-        assert out.positives[0].id == "p0"
-        assert out.positives[0].discovery == 1
+        assert row_lists(out.positives) == [[0, 1]]
+        assert row_lists(out.unlabeled) == [[0]]
+        assert out.positives.ids == ("p0",)
 
     def test_out_of_range_index_is_an_error(self):
         ds = dataset_from_rows([(0,)], [(1,)], 2)
@@ -102,4 +106,40 @@ class TestProjection:
     def test_full_projection_is_identity(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, 5, 5, 12)
-        assert project_dataset(ds, range(12)) == ds
+        assert dataset_to_dict(project_dataset(ds, range(12))) == dataset_to_dict(ds)
+
+
+def _reference_project(data: dict, retained) -> dict:
+    """The per-sample remap project_dataset replaced, on dataset_to_dict output."""
+    retained_sorted = sorted(retained)
+    remap = [-1] * len(data["features"])
+    for new, old in enumerate(retained_sorted):
+        remap[old] = new
+
+    def sample(s: dict) -> dict:
+        return {**s, "on": [remap[i] for i in s["on"] if remap[i] >= 0]}
+
+    return {
+        **data,
+        "features": [data["features"][i] for i in retained_sorted],
+        "positives": list(map(sample, data["positives"])),
+        "unlabeled": list(map(sample, data["unlabeled"])),
+    }
+
+
+class TestSelectionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(ds=pu_datasets())
+    def test_counts_match_counter(self, ds):
+        counts = count_occurrences(ds)
+        for group, got in ((ds.positives, counts.count_p), (ds.unlabeled, counts.count_u)):
+            expected = Counter(i for row in row_lists(group) for i in row)
+            assert list(got) == [expected[i] for i in range(ds.space.dimension)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=pu_datasets(), data=st.data())
+    def test_projection_matches_per_sample_remap(self, ds, data):
+        d = ds.space.dimension
+        retained = data.draw(st.sets(st.integers(0, max(d - 1, 0))) if d else st.just(set()))
+        got = dataset_to_dict(project_dataset(ds, list(retained)))
+        assert got == _reference_project(dataset_to_dict(ds), retained)
