@@ -1,5 +1,7 @@
-"""From-scratch probabilistic binary classifiers on dense 0/1 feature matrices.
+"""From-scratch probabilistic binary classifiers on 0/1 feature matrices.
 
+Every learner trains and scores on one representation, the CSR
+`features.BinaryMatrix`; a dense 0/1 array is converted to it on the way in.
 Three learners share the score_matrix(X) -> [0, 1]^n contract:
   * logistic linear model, full-batch gradient descent with L2 penalty
   * CART-style decision tree with Gini splits and Laplace-smoothed leaves
@@ -20,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .features import DimensionError
+from .features import BinaryMatrix, DimensionError
 
 FORMAT_VERSION = "pudroid-model/1"
 
@@ -94,10 +96,18 @@ class TrainConfig:
         }
 
 
-def _validate_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
+Matrix = Union[BinaryMatrix, np.ndarray]
+
+
+def _as_matrix(X: Matrix) -> BinaryMatrix:
+    """A BinaryMatrix as it is; a dense array converted, and rejected unless 0/1."""
+    return X if isinstance(X, BinaryMatrix) else BinaryMatrix.from_dense(X)
+
+
+def _validate_training_input(X: Matrix, y: np.ndarray) -> tuple[BinaryMatrix, np.ndarray]:
+    X = _as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(y) != X.shape[0]:
+    if len(y) != X.shape[0]:
         raise TrainingError("X must be (n, d) with one target per row")
     if X.shape[0] == 0:
         raise TrainingError("empty training set")
@@ -111,11 +121,11 @@ class ProbabilisticClassifier:
 
     dimension: int
 
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
+    def score_matrix(self, X: Matrix) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_dim(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+    def _check_dim(self, X: Matrix) -> BinaryMatrix:
+        X = _as_matrix(X)
         if X.shape[1] != self.dimension:
             raise DimensionError(
                 f"input has {X.shape[1]} features, model expects {self.dimension}"
@@ -133,23 +143,33 @@ class ProbabilisticClassifier:
 # logistic linear model
 
 
-def logistic_loss_and_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy plus 0.5*l2*||w||^2; returns (loss, dw, db).
+def _sigmoid(X: BinaryMatrix, w: np.ndarray, b: float) -> np.ndarray:
+    z = X @ w + b
+    with np.errstate(over="ignore"):  # exp(-z) overflows to inf, and 1/(1+inf) is 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logistic_grad(
+    w: np.ndarray, b: float, X: BinaryMatrix, y: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    """(dw, db) of the mean cross-entropy plus 0.5*l2*||w||^2; the fit's one step.
 
     The intercept is not penalized.
     """
-    z = X @ w + b
-    with np.errstate(over="ignore"):  # exp(-z) overflows to inf, and 1/(1+inf) is 0
-        p = 1.0 / (1.0 + np.exp(-z))
+    resid = _sigmoid(X, w, b) - y
+    return X.rmatvec(resid) / len(y) + l2 * w, float(np.mean(resid))
+
+
+def logistic_loss_and_grad(
+    w: np.ndarray, b: float, X: Matrix, y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """(loss, dw, db): the objective _logistic_grad descends, and its gradient."""
+    X = _as_matrix(X)
+    p = _sigmoid(X, w, b)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     loss += 0.5 * l2 * float(w @ w)
-    resid = p - y
-    dw = X.T @ resid / len(y) + l2 * w
-    db = float(np.mean(resid))
-    return loss, dw, db
+    return (loss, *_logistic_grad(w, b, X, y, l2))
 
 
 class LinearModel(ProbabilisticClassifier):
@@ -158,10 +178,8 @@ class LinearModel(ProbabilisticClassifier):
         self.bias = float(bias)
         self.dimension = len(self.weights)
 
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
-        with np.errstate(over="ignore"):  # as in logistic_loss_and_grad
-            return 1.0 / (1.0 + np.exp(-(X @ self.weights + self.bias)))
+    def score_matrix(self, X: Matrix) -> np.ndarray:
+        return _sigmoid(self._check_dim(X), self.weights, self.bias)
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +190,7 @@ class LinearModel(ProbabilisticClassifier):
         }
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, params: LinearParams) -> "LinearModel":
+    def fit(cls, X: Matrix, y: np.ndarray, params: LinearParams) -> "LinearModel":
         X, y = _validate_training_input(X, y)
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -181,7 +199,7 @@ class LinearModel(ProbabilisticClassifier):
         # the caller's finiteness check (estimate_e), not printed as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(params.epochs):
-                _, dw, db = logistic_loss_and_grad(w, b, X, yf, params.l2)
+                dw, db = _logistic_grad(w, b, X, yf, params.l2)
                 w -= params.learning_rate * dw
                 b -= params.learning_rate * db
         return cls(w, b)
@@ -209,18 +227,20 @@ def _gini(n: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    XT: np.ndarray, W: np.ndarray, rows: np.ndarray, pos: int, candidates: np.ndarray,
-    min_leaf: int,
+    XT: np.ndarray, W: np.ndarray, rows: np.ndarray, pos: int,
+    candidates: Optional[np.ndarray], min_leaf: int,
 ) -> Optional[int]:
     """Candidate feature with the largest Gini gain; ties go to the lowest index.
 
-    Returns None when no candidate yields a valid split with positive gain.
+    candidates None means every feature. Returns None when no candidate yields
+    a valid split with positive gain.
     """
     n = len(rows)
     # (k, n) 0/1 block times the rows' [1, y] pairs: per candidate, the number
     # of rows with the feature present and how many of them are positive;
     # integer sums, so the float64 products are exact
-    counts = XT[candidates].take(rows, axis=1) @ W.take(rows, axis=0)
+    block = XT.take(rows, axis=1) if candidates is None else XT[candidates].take(rows, axis=1)
+    counts = block @ W.take(rows, axis=0)
     n1, pos1 = counts[:, 0], counts[:, 1]
     n0 = n - n1
     pos0 = pos - pos1
@@ -234,7 +254,8 @@ def _best_split(
     gain = np.where(valid, gain, -np.inf)
     # candidates are sorted ascending, so argmax's first-hit rule breaks ties
     # toward the lowest feature index
-    return int(candidates[int(np.argmax(gain))])
+    best = int(np.argmax(gain))
+    return best if candidates is None else int(candidates[best])
 
 
 def _grow(
@@ -257,7 +278,7 @@ def _grow(
         return _Leaf((pos + 1) / (n + 2))
     d = XT.shape[0]
     if k is None or k >= d:
-        candidates = np.arange(d)
+        candidates = None
     else:
         candidates = np.sort(rng.choice(d, size=k, replace=False))
     feat = _best_split(XT, W, rows, pos, candidates, params.min_leaf)
@@ -269,20 +290,19 @@ def _grow(
     return _Split(feat, absent, present)
 
 
-def _grow_arrays(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grow_arrays(X: BinaryMatrix, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grower's view of a training set: (d, n) bool XT and (n, 2) [1, y]."""
-    XT = np.ascontiguousarray(X.T > 0.5)
     W = np.column_stack([np.ones(len(y)), y.astype(np.float64)])
-    return XT, W
+    return X.XT, W
 
 
-def _score_into(node: "_Leaf | _Split", X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+def _score_into(node: "_Leaf | _Split", XT: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     if isinstance(node, _Leaf):
         out[rows] = node.prob
         return
-    present = X[rows, node.feature] > 0.5
-    _score_into(node.absent, X, rows[~present], out)
-    _score_into(node.present, X, rows[present], out)
+    present = XT[node.feature].take(rows)
+    _score_into(node.absent, XT, rows[~present], out)
+    _score_into(node.present, XT, rows[present], out)
 
 
 def _node_to_dict(node: "_Leaf | _Split") -> dict:
@@ -300,10 +320,10 @@ class TreeModel(ProbabilisticClassifier):
         self.root = root
         self.dimension = dimension
 
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
+    def score_matrix(self, X: Matrix) -> np.ndarray:
         X = self._check_dim(X)
         out = np.empty(X.shape[0])
-        _score_into(self.root, X, np.arange(X.shape[0]), out)
+        _score_into(self.root, X.XT, np.arange(X.shape[0]), out)
         return out
 
     def to_dict(self) -> dict:
@@ -315,7 +335,7 @@ class TreeModel(ProbabilisticClassifier):
         }
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, params: TreeParams) -> "TreeModel":
+    def fit(cls, X: Matrix, y: np.ndarray, params: TreeParams) -> "TreeModel":
         X, y = _validate_training_input(X, y)
         XT, W = _grow_arrays(X, y)
         root = _grow(XT, W, np.arange(len(y)), 0, params, None, None)
@@ -331,8 +351,8 @@ class ForestModel(ProbabilisticClassifier):
         self.trees = trees
         self.dimension = dimension
 
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
+    def score_matrix(self, X: Matrix) -> np.ndarray:
+        X = self._check_dim(X)  # converted once, so the trees share its XT
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += tree.score_matrix(X)
@@ -349,7 +369,7 @@ class ForestModel(ProbabilisticClassifier):
     @classmethod
     def fit(
         cls,
-        X: np.ndarray,
+        X: Matrix,
         y: np.ndarray,
         params: ForestParams,
         tree_params: TreeParams,
@@ -381,8 +401,8 @@ class ForestModel(ProbabilisticClassifier):
 # front door
 
 
-def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier:
-    """Train the configured learner on a dense 0/1 matrix with binary targets."""
+def train(X: Matrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier:
+    """Train the configured learner on a 0/1 matrix with binary targets."""
     if cfg.learner is Learner.LINEAR:
         return LinearModel.fit(X, y, cfg.linear)
     if cfg.learner is Learner.TREE:

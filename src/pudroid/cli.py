@@ -57,8 +57,15 @@ def _at_least(low: float, kind: type = float):
     return parse
 
 
+def _ratio(text: str) -> float:
+    try:
+        return _at_least(0)(text)
+    except ValueError:  # else argparse names this module's parser function, not the ratio
+        raise argparse.ArgumentTypeError(f"ratio {text!r} is not a number") from None
+
+
 def _ratio_list(text: str) -> list[float]:
-    return [_at_least(0)(r) for r in text.split(",") if r.strip()]
+    return [_ratio(r) for r in text.split(",") if r.strip()]
 
 
 def _seed_from_env() -> int:

@@ -1,7 +1,8 @@
-"""Core domain types: feature space, CSR sample rows, datasets.
+"""Core domain types: feature space, CSR sample rows, datasets, and the CSR
+0/1 matrix the learners work on.
 
 Everything here is immutable after construction and safe to share between
-threads. No I/O.
+threads; a matrix caches views derived from its arrays on first use. No I/O.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def offsets(lengths: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
 
 
+def _gather(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the given CSR rows, in the given order."""
+    lengths = np.diff(indptr)[rows]
+    out = offsets(lengths)
+    at = np.arange(out[-1]) + np.repeat(indptr[rows] - out[:-1], lengths)
+    return out, indices[at]
+
+
 @dataclass(frozen=True, eq=False)
 class SampleRows:
     """Samples as CSR rows: sample ids[i] has the strictly increasing on-indices
@@ -119,11 +130,9 @@ class SampleRows:
     def take(self, rows: Sequence[int]) -> SampleRows:
         """The given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
-        lengths = np.diff(self.indptr)[rows]
-        indptr = offsets(lengths)
-        at = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        indptr, indices = _gather(self.indptr, self.indices, rows)
         ids = tuple(map(self.ids.__getitem__, rows.tolist()))
-        return SampleRows(ids, indptr, self.indices[at], self.hidden[rows])
+        return SampleRows(ids, indptr, indices, self.hidden[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +170,100 @@ class PUDataset:
 
 
 def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
-    """(len(rows), dimension) float64 0/1 rows: the one sparse-to-dense boundary."""
+    """(len(rows), dimension) float64 0/1 rows, for PCA; the learners take BinaryMatrix."""
     out = np.zeros((len(rows), dimension), dtype=np.float64)
     out[np.repeat(np.arange(len(rows)), np.diff(rows.indptr)), rows.indices] = 1.0
     return out
+
+
+def _segment_sums(values: np.ndarray, nonempty: np.ndarray, starts: np.ndarray,
+                  size: int) -> np.ndarray:
+    """(size,) sums: slot nonempty[k] sums values[starts[k]:starts[k + 1]], others are 0.
+
+    reduceat would return an element, not 0, for an empty segment, and raises
+    on a start equal to len(values), so only non-empty segments are passed.
+    """
+    if len(nonempty) == size:
+        return np.add.reduceat(values, starts)
+    out = np.zeros(size)
+    if len(nonempty):
+        out[nonempty] = np.add.reduceat(values, starts)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryMatrix:
+    """An (n, dimension) 0/1 matrix as CSR rows: the one input the learners
+    train and score on. Row i is 1 at indices[indptr[i]:indptr[i + 1]].
+
+    The products and the transposed bool view are built from the CSR arrays
+    on first use and cached, so the sparse-to-matrix step costs no copy.
+    """
+
+    indptr: np.ndarray  # int64, n + 1
+    indices: np.ndarray  # int64
+    dimension: int
+
+    @classmethod
+    def from_rows(cls, rows: SampleRows, dimension: int) -> BinaryMatrix:
+        return cls(rows.indptr, rows.indices, dimension)
+
+    @classmethod
+    def from_dense(cls, X) -> BinaryMatrix:
+        """The matrix of a dense array; any entry other than 0 or 1 is an error."""
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise DatasetError(f"expected a 2-D 0/1 matrix, got {X.ndim} dimensions")
+        bad = X[(X != 0) & (X != 1)]
+        if len(bad):
+            raise DatasetError(f"expected a 0/1 matrix, got the entry {bad[0]}")
+        rows, cols = np.nonzero(X)
+        return cls(offsets(np.bincount(rows, minlength=len(X))), cols.astype(np.int64), X.shape[1])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.dimension
+
+    def __getitem__(self, rows: Sequence[int]) -> BinaryMatrix:
+        """The given rows, in the given order."""
+        indptr, indices = _gather(self.indptr, self.indices, np.asarray(rows, dtype=np.int64))
+        return BinaryMatrix(indptr, indices, self.dimension)
+
+    # The products gather with take(mode="wrap"), numpy's fastest gather here;
+    # every index is in range, so nothing wraps.
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """X @ w."""
+        rows, starts = self._row_segments
+        return _segment_sums(w.take(self.indices, mode="wrap"), rows, starts, self.shape[0])
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """X.T @ r."""
+        cols, starts, row_of = self._column_segments
+        return _segment_sums(r.take(row_of, mode="wrap"), cols, starts, self.dimension)
+
+    @cached_property
+    def XT(self) -> np.ndarray:
+        """(dimension, n) C-contiguous bool transpose, for the tree learners."""
+        out = np.zeros((self.dimension, self.shape[0]), dtype=bool)
+        out[self.indices, self._row_of] = True
+        return out
+
+    @cached_property
+    def _row_of(self) -> np.ndarray:
+        """Row index of each stored one."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def _row_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(non-empty rows, their start offsets into indices)."""
+        rows = np.flatnonzero(np.diff(self.indptr))
+        return rows, self.indptr[rows]
+
+    @cached_property
+    def _column_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(non-empty columns, their start offsets, the row of each one in column order)."""
+        order = np.argsort(self.indices, kind="stable")
+        colptr = offsets(np.bincount(self.indices, minlength=self.dimension))
+        cols = np.flatnonzero(np.diff(colptr))
+        return cols, colptr[cols], self._row_of[order]

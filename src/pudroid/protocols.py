@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Learner, TrainConfig, train
-from .features import PUDataset, dense_matrix
+from .features import BinaryMatrix, PUDataset
+# not called here: perfbench/tracing.py wraps this name until ROADMAP item 5
+from .features import dense_matrix  # noqa: F401
 from .metrics import Metrics, compute_metrics
 from .pu import clean_and_retrain, training_arrays
 from .report import ExperimentReport, ReportRow
@@ -52,11 +54,11 @@ def split_test(data: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, 
     return pos_tr, neg_tr, np.concatenate([pos_te, neg_te])
 
 
-def _held_out(base: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _held_out(base: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, BinaryMatrix, list]:
     """(training true positive rows, training true negative rows, X_test, y_test)."""
     samples = base.dataset.samples
     pos_tr, neg_tr, test = split_test(base, seed)
-    X_test = dense_matrix(samples.take(test), base.dataset.space.dimension)
+    X_test = BinaryMatrix.from_rows(samples.take(test), base.dataset.space.dimension)
     return pos_tr, neg_tr, X_test, samples.hidden[test].tolist()
 
 
@@ -81,7 +83,7 @@ def _evaluate(scores: np.ndarray, truth: Sequence[int]) -> Metrics:
 def _run_pair(
     ds: PUDataset,
     cfg: TrainConfig,
-    X_test: np.ndarray,
+    X_test: BinaryMatrix,
     y_test: Sequence[int],
     split_fraction: float,
     seed: int,
@@ -248,7 +250,7 @@ def protocol_rq4(
 
     # NPU sees the corrupted original labels, in the same row order as the
     # swapped dataset so the clean case degenerates identically
-    X_npu = dense_matrix(benign_rest + corrupted, base.dataset.space.dimension)
+    X_npu = BinaryMatrix.from_rows(benign_rest + corrupted, base.dataset.space.dimension)
     z_npu = np.array([0] * len(benign_rest) + [1] * len(corrupted))
 
     rows = []

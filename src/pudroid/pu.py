@@ -1,7 +1,8 @@
 """PU learning engine: label-frequency estimation, adjusted scoring, cleaning.
 
 The engine works on the rows of one matrix: `training_arrays` turns P ∪ U
-into (X, z) once, and every later step takes row indices or row slices of X.
+into (X, z) once, X being the CSR `features.BinaryMatrix` over the dataset's
+own arrays, and every later step gathers rows of X by index.
 The classifier f of z given x is trained on group labels only. The label
 frequency e = p(z=1 | y=1) is estimated as the mean of f over the positive
 rows P' of a held-out validation split, and the adjusted score
@@ -20,7 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ProbabilisticClassifier, TrainConfig, TrainingError, train
-from .features import PUDataset, dense_matrix
+from .features import BinaryMatrix, PUDataset
+# not called here: perfbench/tracing.py wraps this name until ROADMAP item 5
+from .features import dense_matrix  # noqa: F401
 
 E_EPSILON = 1e-6
 
@@ -29,9 +32,9 @@ class SplitError(ValueError):
     pass
 
 
-def training_arrays(ds: PUDataset) -> tuple[np.ndarray, np.ndarray]:
+def training_arrays(ds: PUDataset) -> tuple[BinaryMatrix, np.ndarray]:
     """(X, z) over P then U; the z labels (a sample's group) are the training targets."""
-    X = dense_matrix(ds.samples, ds.space.dimension)
+    X = BinaryMatrix.from_rows(ds.samples, ds.space.dimension)
     z = np.repeat(np.array([1, 0], dtype=np.int64), [len(ds.positives), len(ds.unlabeled)])
     return X, z
 
@@ -72,7 +75,7 @@ class PUModel:
     e: float
     rescale: float = 1.0
 
-    def g_matrix(self, X: np.ndarray) -> np.ndarray:
+    def g_matrix(self, X: BinaryMatrix) -> np.ndarray:
         return np.minimum(1.0, self.rescale * self.base.score_matrix(X) / self.e)
 
 
@@ -96,7 +99,7 @@ def apply_rescale_heuristic(
     return pu
 
 
-def detect_contaminants(pu: PUModel, X_u: np.ndarray, u_ids: Sequence[str]) -> list[str]:
+def detect_contaminants(pu: PUModel, X_u: BinaryMatrix, u_ids: Sequence[str]) -> list[str]:
     """Ids of the unlabeled rows classified malicious by g (g > 0.5), sorted."""
     g = pu.g_matrix(X_u)
     return sorted(sid for sid, gs in zip(u_ids, g) if gs > 0.5)
@@ -146,8 +149,7 @@ def clean_and_retrain(
         PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
     u = ds.unlabeled
-    contaminants = detect_contaminants(pu, X[len(ds.positives):], u.ids)
-    del X  # released before the retrain matrix is built
+    contaminants = detect_contaminants(pu, X[np.arange(len(ds.positives), len(z))], u.ids)
     is_flagged = np.isin(u.ids, contaminants)
 
     moved = u.take(np.flatnonzero(is_flagged))

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import pu_datasets
 
 from pudroid.classifiers import (
     ForestModel,
@@ -20,7 +22,8 @@ from pudroid.classifiers import (
     logistic_loss_and_grad,
     train,
 )
-from pudroid.features import DimensionError
+from pudroid.features import DatasetError, DimensionError, dense_matrix
+from pudroid.pu import training_arrays
 
 
 def _xor_free_problem(rng, n=80, d=6):
@@ -356,3 +359,64 @@ class TestCommonSurface:
     def test_deserialize_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             deserialize('{"version": "pudroid-model/9", "type": "linear"}')
+
+
+def _ref_linear_fit(X, y, params: LinearParams):
+    """(weights, bias) of the dense full-batch descent the linear learner ran
+    before it took CSR input, with numpy's products on the float64 matrix."""
+    w, b, y = np.zeros(X.shape[1]), 0.0, y.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.epochs):
+            resid = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
+            w -= params.learning_rate * (X.T @ resid / len(y) + params.l2 * w)
+            b -= params.learning_rate * float(np.mean(resid))
+    return w, b
+
+
+class TestMatrixInput:
+    """Every learner on the CSR matrix of a dataset against its dense twin."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        ds=pu_datasets(),
+        params=st.builds(
+            LinearParams,
+            st.sampled_from([0.1, 1.0, 5.0]), st.integers(1, 60), st.sampled_from([0.0, 1e-3]),
+        ),
+    )
+    def test_linear_fit_matches_dense_descent(self, ds, params):
+        assume(len(ds.positives) and len(ds.unlabeled))
+        M, z = training_arrays(ds)
+        X = dense_matrix(ds.samples, ds.space.dimension)
+        model = LinearModel.fit(M, z, params)
+        w, b = _ref_linear_fit(X, z, params)
+        assert np.abs(model.weights - w).max(initial=0.0) <= 1e-9
+        assert abs(model.bias - b) <= 1e-9
+        ref_scores = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+        assert np.array_equal(model.score_matrix(M) > 0.5, ref_scores > 0.5)
+
+    @settings(deadline=None, max_examples=150)
+    @given(ds=pu_datasets(), seed=st.integers(0, 2**31 - 1), depth=st.integers(0, 6))
+    def test_tree_and_forest_same_from_matrix_and_dense(self, ds, seed, depth):
+        assume(len(ds.positives) and len(ds.unlabeled))
+        M, z = training_arrays(ds)
+        X = dense_matrix(ds.samples, ds.space.dimension)
+        tree = TreeParams(max_depth=depth, min_leaf=1)
+        got = TreeModel.fit(M, z, tree)
+        assert got.serialize() == TreeModel.fit(X, z, tree).serialize() == _ref_tree(X, z, tree)
+        assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
+        forest = ForestParams(n_trees=3)
+        got = ForestModel.fit(M, z, forest, tree, seed)
+        assert got.serialize() == ForestModel.fit(X, z, forest, tree, seed).serialize()
+        assert got.serialize() == _ref_forest(X, z, forest, tree, seed)[0]
+        assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
+
+    @pytest.mark.parametrize("learner", list(Learner))
+    def test_dense_input_other_than_0_1_is_rejected(self, learner):
+        X = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
+        y = np.array([0, 1, 1])
+        with pytest.raises(DatasetError):
+            train(X, y, TrainConfig(learner=learner, forest=ForestParams(n_trees=2)))
+        model = train(X.round(), y, TrainConfig(learner=learner, forest=ForestParams(n_trees=2)))
+        with pytest.raises(DatasetError):
+            model.score_matrix(X)

@@ -246,6 +246,7 @@ class TestExitCodes:
         (["experiment", "--protocol", "rq2", "--ratios", "inf"], "--ratios"),
         (["experiment", "--protocol", "rq4", "--ratio", "nan"], "--ratio"),
         (["experiment", "--protocol", "rq4", "--ratio", "inf"], "--ratio"),
+        (["experiment", "--protocol", "rq2", "--ratios", "1,x"], "--ratios"),
     ])
     def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "o.json"
@@ -254,6 +255,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert f"argument {flag}:" in err
+        assert repr(argv[-1].split(",")[-1]) in err  # names the bad entry of a list
         assert "Traceback" not in err
         assert not out.exists()
 

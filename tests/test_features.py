@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dataset_from_rows, pu_datasets, row_lists, rows_of, space_of
 from pudroid.features import (
+    BinaryMatrix,
     DatasetError,
     DimensionError,
     FeatureKind,
@@ -157,3 +158,41 @@ class TestRowsOracle:
         for r, row in enumerate(row_lists(ds.samples)):
             expected[r, row] = 1.0
         assert np.array_equal(dense_matrix(ds.samples, d), expected)
+
+
+def _padded(ds: PUDataset) -> tuple[BinaryMatrix, np.ndarray]:
+    """(matrix, dense twin) of ds.samples with empty rows at the start, middle and
+    end and all-zero first and last columns."""
+    rows = [[j + 1 for j in row] for row in row_lists(ds.samples)]
+    mid = len(rows) // 2
+    rows = [[], *rows[:mid], [], *rows[mid:], []]
+    block, d = rows_of([str(i) for i in range(len(rows))], rows), ds.space.dimension + 2
+    return BinaryMatrix.from_rows(block, d), dense_matrix(block, d)
+
+
+class TestBinaryMatrixOracle:
+    """The CSR products, gather and transpose against numpy on the dense matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=pu_datasets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_products_gather_and_transpose_match_dense(self, ds, seed, data):
+        M, X = _padded(ds)
+        n, d = X.shape
+        assert M.shape == (n, d)
+        rng = np.random.default_rng(seed)
+        w, r = rng.standard_normal(d), rng.standard_normal(n)
+        np.testing.assert_allclose(M @ w, X @ w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(M.rmatvec(r), X.T @ r, rtol=1e-12, atol=1e-12)
+        assert M.XT.flags.c_contiguous and np.array_equal(M.XT, X.T > 0)
+        order = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+        assert np.array_equal(M[order].XT.T, X[order])
+        twin = BinaryMatrix.from_dense(X)
+        assert np.array_equal(twin.indptr, M.indptr) and np.array_equal(twin.indices, M.indices)
+
+    @pytest.mark.parametrize("X, named", [
+        ([[0.0, 0.5]], "0.5"), ([[2.0, 1.0]], "2.0"), ([[np.nan, 0.0]], "nan"),
+        ([0.0, 1.0], "1 dimensions"),
+    ])
+    def test_from_dense_rejects_all_but_0_1_matrices(self, X, named):
+        with pytest.raises(DatasetError, match=f"0/1 matrix, got .*{named}"):
+            BinaryMatrix.from_dense(np.array(X))
