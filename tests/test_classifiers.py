@@ -361,16 +361,18 @@ class TestCommonSurface:
             deserialize('{"version": "pudroid-model/9", "type": "linear"}')
 
 
-def _ref_linear_fit(X, y, params: LinearParams):
-    """(weights, bias) of the dense full-batch descent the linear learner ran
-    before it took CSR input, with numpy's products on the float64 matrix."""
+def _ref_linear_descent(X, y, params: LinearParams):
+    """Per epoch, (w, b, dw, db) of the dense full-batch descent the linear
+    learner ran before it took CSR input, with numpy's products on the float64
+    matrix: the point an epoch starts from and the gradient it steps by."""
     w, b, y = np.zeros(X.shape[1]), 0.0, y.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(params.epochs):
             resid = 1.0 / (1.0 + np.exp(-(X @ w + b))) - y
-            w -= params.learning_rate * (X.T @ resid / len(y) + params.l2 * w)
-            b -= params.learning_rate * float(np.mean(resid))
-    return w, b
+            dw, db = X.T @ resid / len(y) + params.l2 * w, float(np.mean(resid))
+            yield w.copy(), b, dw, db
+            w -= params.learning_rate * dw
+            b -= params.learning_rate * db
 
 
 class TestMatrixInput:
@@ -385,15 +387,40 @@ class TestMatrixInput:
         ),
     )
     def test_linear_fit_matches_dense_descent(self, ds, params):
+        # The CSR sums add in another order than numpy's dense products, so the
+        # two descents agree per step up to rounding, not bit for bit. Whole
+        # trajectories are not compared: at learning rate 5 the step is
+        # unstable along directions whose gradient cancels to 0, and there
+        # rounding noise doubles every epoch in the dense descent itself
+        # (a weight that is exactly 0 in real arithmetic reaches 2e-9 after
+        # 23 epochs). So the CSR gradient is checked at every point of the
+        # dense trajectory, and the fit is checked to be the CSR descent.
         assume(len(ds.positives) and len(ds.unlabeled))
         M, z = training_arrays(ds)
         X = dense_matrix(ds.samples, ds.space.dimension)
-        model = LinearModel.fit(M, z, params)
-        w, b = _ref_linear_fit(X, z, params)
-        assert np.abs(model.weights - w).max(initial=0.0) <= 1e-9
-        assert abs(model.bias - b) <= 1e-9
-        ref_scores = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-        assert np.array_equal(model.score_matrix(M) > 0.5, ref_scores > 0.5)
+        yf = z.astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w, b, dw, db in _ref_linear_descent(X, z, params):
+                if not (np.isfinite(w).all() and math.isfinite(b)):
+                    break
+                # each resid entry moves by at most 0.25 times the rounding of
+                # its logit, which is a few ulps of sum|w| + |b|
+                tol = 1e-12 * (1.0 + np.abs(w).sum() + abs(b))
+                _, got_dw, got_db = logistic_loss_and_grad(w, b, M, yf, params.l2)
+                assert np.abs(got_dw - dw).max(initial=0.0) <= tol
+                assert abs(got_db - db) <= tol
+            model = LinearModel.fit(M, z, params)
+            w, b = np.zeros(M.shape[1]), 0.0
+            for _ in range(params.epochs):
+                _, dw, db = logistic_loss_and_grad(w, b, M, yf, params.l2)
+                w = w - params.learning_rate * dw
+                b = b - params.learning_rate * db
+        assert np.array_equal(model.weights, w, equal_nan=True)
+        assert model.bias == b or (math.isnan(model.bias) and math.isnan(b))
+        if np.isfinite(w).all() and math.isfinite(b):
+            ref_scores = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+            tol = 1e-12 * (1.0 + np.abs(w).sum() + abs(b))
+            assert np.abs(model.score_matrix(M) - ref_scores).max(initial=0.0) <= tol
 
     @settings(deadline=None, max_examples=150)
     @given(ds=pu_datasets(), seed=st.integers(0, 2**31 - 1), depth=st.integers(0, 6))
