@@ -317,6 +317,9 @@ def _cmd_pca(args: argparse.Namespace) -> None:
     Path(args.out).write_text(projection_csv(projection), encoding="utf-8")
     if projection.zero_variance:
         print("warning: zero-variance data, coordinates are all zero", file=sys.stderr)
+    for component, residual in projection.unconverged:
+        print(f"warning: PCA component {component} did not converge "
+              f"(residual {residual:.3g})", file=sys.stderr)
 
 
 _COMMANDS = {

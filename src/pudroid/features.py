@@ -170,7 +170,9 @@ class PUDataset:
 
 
 def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
-    """(len(rows), dimension) float64 0/1 rows, for PCA; the learners take BinaryMatrix."""
+    """(len(rows), dimension) float64 0/1 rows: the dense reference the tests check
+    BinaryMatrix and PCA against. Nothing in the package calls it; `pu` and
+    `protocols` import it because the benchmark tracer patches those names."""
     out = np.zeros((len(rows), dimension), dtype=np.float64)
     out[np.repeat(np.arange(len(rows)), np.diff(rows.indptr)), rows.indices] = 1.0
     return out
