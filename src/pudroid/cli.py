@@ -17,7 +17,6 @@ from pathlib import Path
 from . import __version__
 from .classifiers import ForestParams, Learner, LinearParams, TrainConfig, TreeParams
 from .datasets import load_dataset, save_dataset
-from .features import PUDataset
 from .ingest import build_dataset, load_manifest, load_resolver_map
 from .pca import pca_project, projection_csv
 from .protocols import protocol_rq1, protocol_rq2, protocol_rq3, protocol_rq4
@@ -25,7 +24,6 @@ from .pu import clean_and_retrain
 from .report import CLEAN_SCHEMA, write_json, write_report
 from .selection import (
     THRESHOLD_RULE,
-    SelectionThresholds,
     compute_thresholds,
     count_occurrences,
     project_dataset,
@@ -43,13 +41,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: float, kind: type = float):
-    """argparse type: a finite `kind` >= low; a bad value exits 1 naming its flag."""
-    rule = "finite" if low == -math.inf else f"finite and >= {low:g}"
+def _at_least(low: float, kind: type = float, *, high: float = math.inf, strict: bool = False):
+    """argparse type: a finite `kind` in [low, high], or (low, high) if strict.
+
+    A bad value exits 1 naming its flag.
+    """
+    bounds = [f"{'>' if strict else '>='} {low:g}"] if low > -math.inf else []
+    if high < math.inf:
+        bounds.append(f"{'<' if strict else '<='} {high:g}")
+    rule = " and ".join(["finite", *bounds] if kind is float else bounds)
 
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value >= low):
+        inside = low < value < high if strict else low <= value <= high
+        if not ((kind is int or math.isfinite(value)) and inside):  # isfinite overflows on big ints
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
 
@@ -65,15 +70,34 @@ def _ratio(text: str) -> float:
 
 
 def _ratio_list(text: str) -> list[float]:
-    return [_ratio(r) for r in text.split(",") if r.strip()]
+    ratios = [_ratio(r) for r in text.split(",") if r.strip()]
+    if not ratios:
+        raise argparse.ArgumentTypeError("needs at least one ratio")
+    return ratios
+
+
+_seed = _at_least(0, int)
+_fraction = _at_least(0, high=1, strict=True)
 
 
 def _seed_from_env() -> int:
     raw = os.environ.get("PUDROID_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PUDROID_SEED must be an integer, got {raw!r}") from None
+        return _seed(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"PUDROID_SEED must be an integer >= 0, got {raw!r}") from None
+
+
+def _spec_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return value in ("1", "true", "yes")
+
+
+# the generator inputs: every SyntheticSpec field but the run seed, typed "int", "float" or "bool"
+_SPEC_FIELDS = {f.name: f for f in dataclasses.fields(SyntheticSpec) if f.name != "seed"}
+_SPEC_TYPES = {"int": int, "float": float, "bool": _spec_bool}
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -103,54 +127,37 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         raise UsageError(str(exc)) from None
 
 
-def _ingest(args: argparse.Namespace) -> PUDataset:
-    manifest = load_manifest(args.manifest)
-    resolver = load_resolver_map(args.ipmap)
-    return build_dataset(manifest, resolver, Path(args.manifest).parent)
-
-
-def _load_input_dataset(args: argparse.Namespace) -> PUDataset:
-    if args.dataset:
-        return load_dataset(args.dataset)
-    if not (args.manifest and args.ipmap):
-        raise UsageError("provide either --dataset or both --manifest and --ipmap")
-    return _ingest(args)
-
-
 def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
+    """The --spec-file keys, then the generator flags over them, then the run seed."""
     values = {}
     if args.spec_file:
-        for lineno, raw in enumerate(
-            Path(args.spec_file).read_text(encoding="utf-8").splitlines(), 1
-        ):
+        lines = Path(args.spec_file).read_text(encoding="utf-8").splitlines()
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{args.spec_file}: line {lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-    fields = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
-    spec_kwargs = {}
-    for key, value in values.items():
-        if key not in fields:
-            raise ValueError(f"unknown generator spec key {key!r}")
-        if key in ("flip_noise", "label_frequency_c"):
-            spec_kwargs[key] = float(value)
-        elif key == "family_exclusive":
-            spec_kwargs[key] = value.lower() in ("1", "true", "yes")
-        else:
-            spec_kwargs[key] = int(value)
-    for key in (
-        "n_positive", "n_negative", "dimension", "signal_features", "n_families",
-        "flip_noise", "label_frequency_c",
-    ):
-        if getattr(args, key) is not None:
-            spec_kwargs[key] = getattr(args, key)
-    if args.family_exclusive:
-        spec_kwargs["family_exclusive"] = True
-    spec_kwargs["seed"] = args.seed
-    return SyntheticSpec(**spec_kwargs)
+            key, sep, value = (part.strip() for part in line.partition("="))
+            where = f"{args.spec_file}: line {lineno}"
+            if not sep:
+                raise ValueError(f"{where}: expected key=value")
+            if key not in _SPEC_FIELDS:
+                raise ValueError(f"{where}: unknown generator spec key {key!r}")
+            kind = _SPEC_FIELDS[key].type
+            try:
+                values[key] = _SPEC_TYPES[kind](value)
+            except ValueError:
+                raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
+    values.update((k, getattr(args, k)) for k in _SPEC_FIELDS if getattr(args, k) is not None)
+    return SyntheticSpec(**values, seed=args.seed)
+
+
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_argument_group("generator", "each flag overrides the --spec-file key of its name")
+    for name, f in _SPEC_FIELDS.items():
+        kind = {"action": "store_true"} if f.type == "bool" else {"type": _SPEC_TYPES[f.type]}
+        group.add_argument(
+            "--" + name.replace("_", "-"), default=None, help=f.metadata.get("help"), **kind
+        )
 
 
 def build_parser() -> _Parser:
@@ -166,20 +173,19 @@ def build_parser() -> _Parser:
     p_sel = sub.add_parser("select-features", help="occurrence-threshold selection")
     p_sel.add_argument("--dataset", required=True)
     p_sel.add_argument("--eta", type=_at_least(1), default=2.0)
-    p_sel.add_argument("--tm-override", type=int, default=None)
-    p_sel.add_argument("--tb-override", type=int, default=None)
+    p_sel.add_argument("--tm-override", type=_at_least(1, int), default=None)
+    p_sel.add_argument("--tb-override", type=_at_least(1, int), default=None)
     p_sel.add_argument("--out", required=True)
     p_sel.add_argument("--features-out", default=None, help="retained feature names, one per line")
 
     p_clean = sub.add_parser("clean", help="detect and relabel contaminants")
-    p_clean.add_argument("--dataset", default=None)
-    p_clean.add_argument("--manifest", default=None)
-    p_clean.add_argument("--ipmap", default=None)
-    p_clean.add_argument("--split-fraction", type=float, default=0.2)
+    p_clean.add_argument("--dataset", required=True)
+    p_clean.add_argument("--split-fraction", type=_fraction, default=0.2)
     p_clean.add_argument("--rescale-trigger", type=_at_least(-math.inf), default=0.7)
-    p_clean.add_argument("--rescale-target", type=float, default=1.0)
+    # a target of 0 sets g to 0 and flags nothing
+    p_clean.add_argument("--rescale-target", type=_at_least(0, strict=True), default=1.0)
     p_clean.add_argument("--discard", action="store_true", help="drop contaminants instead of relabeling")
-    p_clean.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
+    p_clean.add_argument("--seed", type=_seed, default=None, help="default: $PUDROID_SEED or 0")
     p_clean.add_argument("--out", required=True)
     p_clean.add_argument("--cleaned-out", default=None, help="write the cleaned dataset here")
     _add_train_flags(p_clean)
@@ -187,24 +193,14 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", help="run a contamination protocol")
     p_exp.add_argument("--protocol", required=True, choices=["rq1", "rq2", "rq3", "rq4"])
     p_exp.add_argument("--spec-file", default=None, help="generator spec as key=value lines")
-    p_exp.add_argument("--n-positive", type=int, default=None, dest="n_positive")
-    p_exp.add_argument("--n-negative", type=int, default=None, dest="n_negative")
-    p_exp.add_argument("--dimension", type=int, default=None)
-    p_exp.add_argument("--signal-features", type=int, default=None, dest="signal_features")
-    p_exp.add_argument("--n-families", type=int, default=None, dest="n_families")
-    p_exp.add_argument("--flip-noise", type=float, default=None, dest="flip_noise")
-    p_exp.add_argument("--label-frequency-c", type=float, default=None, dest="label_frequency_c")
-    p_exp.add_argument(
-        "--family-exclusive", action="store_true",
-        help="give each family its own disjoint signal block",
-    )
+    _add_spec_flags(p_exp)
     p_exp.add_argument("--iterations", type=_at_least(0, int), default=5)
     p_exp.add_argument("--step", type=_at_least(1, int), default=100)
     p_exp.add_argument("--ratios", type=_ratio_list, default="1,2,3,4,5,6,7,8")
     p_exp.add_argument("--ratio", type=_at_least(0), default=8.0)
     p_exp.add_argument("--holdout-family", type=int, default=None)
-    p_exp.add_argument("--split-fraction", type=float, default=0.2)
-    p_exp.add_argument("--seed", type=int, default=None, help="default: $PUDROID_SEED or 0")
+    p_exp.add_argument("--split-fraction", type=_fraction, default=0.2)
+    p_exp.add_argument("--seed", type=_seed, default=None, help="default: $PUDROID_SEED or 0")
     p_exp.add_argument("--out", required=True)
     _add_train_flags(p_exp)
 
@@ -216,19 +212,20 @@ def build_parser() -> _Parser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    save_dataset(_ingest(args), args.out)
+    manifest = load_manifest(args.manifest)
+    resolver = load_resolver_map(args.ipmap)
+    save_dataset(build_dataset(manifest, resolver, Path(args.manifest).parent), args.out)
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
     ds = load_dataset(args.dataset)
     th = compute_thresholds(ds, args.eta)
-    if args.tm_override is not None or args.tb_override is not None:
-        th = SelectionThresholds(
-            eta=args.eta,
-            tm=args.tm_override if args.tm_override is not None else th.tm,
-            tb=args.tb_override if args.tb_override is not None else th.tb,
-        )
+    th = dataclasses.replace(th, tm=args.tm_override or th.tm, tb=args.tb_override or th.tb)
     retained = select_features(count_occurrences(ds), th)
+    if not retained:  # a 0-feature dataset would only fail later, or project to all zeros
+        raise ValueError(
+            f"no feature kept: none occurs at least tm={th.tm} times in P or tb={th.tb} times in U"
+        )
     projected = project_dataset(ds, retained)
     save_dataset(projected, args.out)
     if args.features_out:
@@ -242,12 +239,8 @@ def _cmd_select(args: argparse.Namespace) -> None:
 
 def _cmd_clean(args: argparse.Namespace) -> None:
     cfg = _train_config(args)
-    target = args.rescale_target
-    if not (math.isfinite(target) and target > 0):  # g would be 0 or NaN and flag nothing
-        raise UsageError(f"--rescale-target must be finite and > 0, got {target!r}")
-    ds = _load_input_dataset(args)
     result = clean_and_retrain(
-        ds,
+        load_dataset(args.dataset),
         cfg,
         split_fraction=args.split_fraction,
         seed=args.seed,
@@ -285,8 +278,6 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
             split_fraction=args.split_fraction,
         )
     elif args.protocol == "rq2":
-        if not args.ratios:
-            raise UsageError("--ratios needs at least one ratio")
         report = protocol_rq2(
             base, args.ratios, cfg, seed=args.seed, split_fraction=args.split_fraction
         )

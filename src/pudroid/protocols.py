@@ -248,10 +248,7 @@ def protocol_rq4(
         replace(corrupted, hidden=1 - corrupted.hidden),
     )
 
-    # NPU sees the corrupted original labels, in the same row order as the
-    # swapped dataset so the clean case degenerates identically
-    X_npu = BinaryMatrix.from_rows(benign_rest + corrupted, base.dataset.space.dimension)
-    z_npu = np.array([0] * len(benign_rest) + [1] * len(corrupted))
+    X, z = training_arrays(swapped_ds)
 
     rows = []
     for learner in learners:
@@ -261,7 +258,7 @@ def protocol_rq4(
         )
         benign_scores = result.final_model.score_matrix(X_test)
         pu_m = _evaluate(1.0 - benign_scores, y_test)
-        npu_model = train(X_npu, z_npu, cfg_l)
+        npu_model = train(X, 1 - z, cfg_l)  # NPU sees the corrupted original labels
         npu_m = _evaluate(npu_model.score_matrix(X_test), y_test)
         rows.append(ReportRow(f"{ratio:g}:1/{learner.value}", pu_m, npu_m))
 

@@ -17,7 +17,7 @@ posterior p(y=1 | x) is available for oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class SyntheticSpec:
     flip_noise: float = 0.05
     label_frequency_c: float = 1.0
     n_families: int = 4
-    family_exclusive: bool = False
+    family_exclusive: bool = field(
+        default=False, metadata={"help": "give each family its own disjoint signal block"}
+    )
     seed: int = 0
 
     def __post_init__(self) -> None:

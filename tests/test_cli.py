@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pudroid
-from pudroid.cli import run
+from pudroid.cli import _spec_from_args, build_parser, run
 from pudroid.datasets import load_dataset, save_dataset
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
@@ -247,6 +248,16 @@ class TestExitCodes:
         (["experiment", "--protocol", "rq4", "--ratio", "nan"], "--ratio"),
         (["experiment", "--protocol", "rq4", "--ratio", "inf"], "--ratio"),
         (["experiment", "--protocol", "rq2", "--ratios", "1,x"], "--ratios"),
+        (["clean", "--split-fraction", "2"], "--split-fraction"),
+        (["clean", "--split-fraction", "nan"], "--split-fraction"),
+        (["clean", "--split-fraction", "0"], "--split-fraction"),
+        (["experiment", "--protocol", "rq1", "--split-fraction", "1"], "--split-fraction"),
+        (["clean", "--seed", "-1"], "--seed"),
+        (["experiment", "--protocol", "rq1", "--seed", "-1"], "--seed"),
+        (["select-features", "--tm-override", "0"], "--tm-override"),
+        (["select-features", "--tb-override", "0"], "--tb-override"),
+        # an integer beyond float range
+        (["experiment", "--protocol", "rq1", "--step", "-1" + "0" * 400], "--step"),
     ])
     def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "o.json"
@@ -258,6 +269,27 @@ class TestExitCodes:
         assert repr(argv[-1].split(",")[-1]) in err  # names the bad entry of a list
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_clean_reads_no_manifest(self, corpus, tmp_path, capsys):
+        manifest, ipmap = corpus
+        out = tmp_path / "o.json"
+        code = run(["clean", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--dataset" in err
+        assert not out.exists()
+
+    def test_empty_selection_is_data_error(self, dataset_file, tmp_path, capsys):
+        out, names = tmp_path / "sel.json", tmp_path / "names.txt"
+        code = run([
+            "select-features", "--dataset", str(dataset_file), "--tm-override", "99999",
+            "--tb-override", "99999", "--out", str(out), "--features-out", str(names),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "tm=99999" in err and "tb=99999" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not names.exists()
 
     def test_malformed_feature_file_names_file_and_app(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("api::getDeviceId\n")
@@ -300,12 +332,14 @@ class TestSeedDefault:
         assert json.loads(out.read_text())["config"]["seed"] == 5
 
     def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PUDROID_SEED", "abc")
-        code = run(["experiment", "--protocol", "rq1", "--out", str(tmp_path / "o.json")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "PUDROID_SEED" in err
-        assert "Traceback" not in err
+        for raw in ("abc", "-3"):
+            monkeypatch.setenv("PUDROID_SEED", raw)
+            code = run(["experiment", "--protocol", "rq1", "--out", str(tmp_path / "o.json")])
+            err = capsys.readouterr().err
+            assert code == 1, raw
+            assert f"PUDROID_SEED must be an integer >= 0, got {raw!r}" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "o.json").exists()
 
     def test_unseeded_command_ignores_env_seed(self, corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PUDROID_SEED", "abc")
@@ -387,3 +421,56 @@ class TestPipeline:
         payload = json.loads(out.read_text())
         assert payload["config"]["generator"]["family_exclusive"] is True
         assert [r["condition"] for r in payload["rows"]] == ["family-0", "family-1"]
+
+
+class TestGeneratorSpec:
+    FIELDS = {f.name: f for f in dataclasses.fields(SyntheticSpec) if f.name != "seed"}
+
+    @staticmethod
+    def _args(*argv):
+        args = build_parser().parse_args(["experiment", "--protocol", "rq1", "--out", "o", *argv])
+        args.seed = 0
+        return args
+
+    def test_flags_and_keys_are_the_spec_fields(self, tmp_path):
+        sub = build_parser()._subparsers._group_actions[0].choices["experiment"]
+        group = next(g for g in sub._action_groups if g.title == "generator")
+        assert {a.dest for a in group._group_actions} == set(self.FIELDS)
+        assert {s for a in group._group_actions for s in a.option_strings} == {
+            "--" + name.replace("_", "-") for name in self.FIELDS
+        }
+        # every field but seed is a spec key; a non-default value of each round-trips
+        spec_file = tmp_path / "spec.txt"
+        changed = {"int": lambda v: v + 1, "float": lambda v: v / 2, "bool": lambda v: not v}
+        values = {name: changed[f.type](f.default) for name, f in self.FIELDS.items()}
+        spec_file.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        spec = _spec_from_args(self._args("--spec-file", str(spec_file)))
+        assert dataclasses.asdict(spec) == {**values, "seed": 0}
+
+    def test_flags_override_spec_file(self, tmp_path):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text("n_positive=70\nflip_noise=0.1\nfamily_exclusive=no\n")
+        spec = _spec_from_args(self._args(
+            "--spec-file", str(spec_file), "--n-positive", "80", "--family-exclusive"
+        ))
+        assert (spec.n_positive, spec.flip_noise, spec.family_exclusive) == (80, 0.1, True)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_positive=60\nseed=5\n", "line 2: unknown generator spec key 'seed'"),
+        ("# c\n\nn_positive=abc\n", "line 3: n_positive must be int, got 'abc'"),
+        ("flip_noise=high\n", "line 1: flip_noise must be float, got 'high'"),
+        ("family_exclusive=maybe\n", "line 1: family_exclusive must be bool, got 'maybe'"),
+        ("n_positive\n", "line 1: expected key=value"),
+    ])
+    def test_bad_spec_file_is_data_error(self, tmp_path, capsys, text, message):
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(text)
+        out = tmp_path / "o.json"
+        code = run([
+            "experiment", "--protocol", "rq1", "--spec-file", str(spec_file), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{spec_file}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
