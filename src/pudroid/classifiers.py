@@ -7,13 +7,23 @@ Three learners share the score_matrix(X) -> [0, 1]^n contract:
   * CART-style decision tree with Gini splits and Laplace-smoothed leaves
   * bagged random forest of such trees with per-node feature subsampling
 
+Trees grow level by level, as in XGBoost (Chen & Guestrin, KDD 2016) and
+LightGBM (Ke et al., NeurIPS 2017): all nodes of a depth are split by one set
+of array operations over (distinct row, bootstrap count) pairs, with integer
+split counts, so a single tree is the one a node-by-node grower builds, bit
+for bit.
+
 Training is fully determined by (data, config, seed); each forest tree draws
 its RNG stream from (seed, tree_index) so tree-level parallelism could never
-change results.
+change results. Within a tree, the candidate features of a depth's nodes are
+drawn in one call, left to right, depth after depth. Earlier versions drew
+them node by node in pre-order, so a forest differs from theirs for the same
+seed; no level-wise order can replay a pre-order stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,74 +236,111 @@ def _gini(n: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(
-    XT: np.ndarray, W: np.ndarray, rows: np.ndarray, pos: int,
-    candidates: Optional[np.ndarray], min_leaf: int,
-) -> Optional[int]:
-    """Candidate feature with the largest Gini gain; ties go to the lowest index.
+# the most uniforms one block of a candidate draw holds, unless one row needs more
+_DRAW_BLOCK = 1 << 16
 
-    candidates None means every feature. Returns None when no candidate yields
-    a valid split with positive gain.
+
+def _draw_candidates(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
+    """(m, k) candidate features for the m nodes of a depth, each row a sorted
+    uniform k-subset of range(d): the positions of the k smallest of d uniforms.
+
+    The uniforms come in row blocks of at most max(d, _DRAW_BLOCK) values; the
+    blocks consume the generator's stream in order, so their size moves no draw.
     """
-    n = len(rows)
-    # (k, n) 0/1 block times the rows' [1, y] pairs: per candidate, the number
-    # of rows with the feature present and how many of them are positive;
-    # integer sums, so the float64 products are exact
-    block = XT.take(rows, axis=1) if candidates is None else XT[candidates].take(rows, axis=1)
-    counts = block @ W.take(rows, axis=0)
-    n1, pos1 = counts[:, 0], counts[:, 1]
-    n0 = n - n1
-    pos0 = pos - pos1
-    weighted = (n0 * _gini(n0, pos0) + n1 * _gini(n1, pos1)) / n
-    p_parent = pos / n
-    parent = 1.0 - p_parent * p_parent - (1.0 - p_parent) * (1.0 - p_parent)
-    gain = parent - weighted
-    valid = (n0 >= min_leaf) & (n1 >= min_leaf) & (gain > 1e-12)
-    if not valid.any():
-        return None
-    gain = np.where(valid, gain, -np.inf)
-    # candidates are sorted ascending, so argmax's first-hit rule breaks ties
-    # toward the lowest feature index
-    best = int(np.argmax(gain))
-    return best if candidates is None else int(candidates[best])
+    step = max(1, _DRAW_BLOCK // d)
+    out = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, step):
+        u = rng.random((min(step, m - start), d))
+        out[start:start + len(u)] = np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
+    return out
 
 
-def _grow(
-    XT: np.ndarray,
-    W: np.ndarray,
+def _grow_levels(
+    XR: np.ndarray,
+    y: np.ndarray,
     rows: np.ndarray,
-    depth: int,
+    weight: np.ndarray,
     params: TreeParams,
     k: Optional[int],
     rng: Optional[np.random.Generator],
 ) -> "_Leaf | _Split":
-    """Grow the subtree on `rows`, a multiset of row indices of the fit's data.
+    """Grow a tree one depth at a time on `rows`, distinct row indices of the
+    fit's data, row rows[i] standing for weight[i] copies (its bootstrap count).
 
-    XT is the (d, n) bool matrix and W the (n, 2) float64 [1, y] matrix built
-    once per fit by `_grow_arrays`; a node holds only its row indices.
+    XR is the (n, d) row-major bool data and y its 0/1 labels. With k None (or
+    k >= d) every feature is a candidate at every node; else the nodes of a
+    depth that may split draw k features each, in one _draw_candidates call,
+    left to right. Every count is an integer sum, so the gains are those a
+    node-by-node grower computes, bit for bit, and ties go to the lowest
+    feature index.
     """
-    n = len(rows)
-    pos = int(W[rows, 1].sum())
-    if depth >= params.max_depth or n < 2 * params.min_leaf or pos in (0, n):
-        return _Leaf((pos + 1) / (n + 2))
-    d = XT.shape[0]
-    if k is None or k >= d:
-        candidates = None
-    else:
-        candidates = np.sort(rng.choice(d, size=k, replace=False))
-    feat = _best_split(XT, W, rows, pos, candidates, params.min_leaf)
-    if feat is None:
-        return _Leaf((pos + 1) / (n + 2))
-    present = XT[feat].take(rows)
-    absent = _grow(XT, W, rows[~present], depth + 1, params, k, rng)
-    present = _grow(XT, W, rows[present], depth + 1, params, k, rng)
-    return _Split(feat, absent, present)
-
-
-def _grow_arrays(X: BinaryMatrix, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grower's view of a training set: (d, n) bool XT and (n, 2) [1, y]."""
-    W = np.column_stack([np.ones(len(y)), y.astype(np.float64)])
-    return X.XT, W
+    d = XR.shape[1]
+    flat = XR.reshape(-1)
+    all_features = k is None or k >= d
+    node = np.zeros(len(rows), dtype=np.int64)  # each row's node, in its depth's order
+    sizes = np.array([weight.sum()])  # per node: rows with multiplicity, and positives
+    pos = np.array([weight @ y[rows]])
+    levels = []  # per depth, per node left to right: (sizes, positives, split feature or -1)
+    for depth in itertools.count():
+        feature = np.full(len(sizes), -1)
+        levels.append((sizes, pos, feature))
+        grows = (pos > 0) & (pos < sizes) & (sizes >= 2 * params.min_leaf)
+        if depth >= params.max_depth or d == 0 or not grows.any():  # d == 0: nothing to split on
+            break
+        # the rows of the growing nodes, sorted by (node, label): with 0 < pos < size
+        # in each, the 2m (node, label) segments are all non-empty
+        g = np.flatnonzero(grows)
+        m = len(g)
+        keep = grows[node]
+        rows, weight = rows[keep], weight[keep]
+        key = 2 * (np.cumsum(grows) - 1)[node[keep]] + y[rows]
+        if 2 * m <= 1 << 16:  # numpy's stable sort of 16-bit keys is a radix sort
+            key = key.astype(np.uint16)
+        order = np.argsort(key, kind="stable")
+        rows, weight, key = rows[order], weight[order], key[order]
+        member = key >> 1
+        seg = np.bincount(key)
+        starts = np.cumsum(seg) - seg
+        # per (node, candidate): the rows with the candidate present, and the
+        # positive ones among them
+        if all_features:
+            cand = None
+            block = XR.take(rows, axis=0)
+        else:
+            cand = _draw_candidates(rng, m, d, k)
+            at = cand.take(member, axis=0)
+            at += (rows * d)[:, None]
+            block = flat.take(at)
+        counts = np.add.reduceat(block * weight[:, None], starts, axis=0)
+        pos1 = counts[1::2]
+        n1 = counts[::2] + pos1
+        n, p = sizes[g, None], pos[g, None]
+        n0, pos0 = n - n1, p - pos1
+        gain = _gini(n, p) - (n0 * _gini(n0, pos0) + n1 * _gini(n1, pos1)) / n
+        valid = (n0 >= params.min_leaf) & (n1 >= params.min_leaf) & (gain > 1e-12)
+        # argmax's first hit along the ascending candidates: ties go to the lowest feature
+        best = np.where(valid, gain, -np.inf).argmax(axis=1)
+        chosen = np.arange(m), best
+        splits = valid[chosen]
+        feat = best if cand is None else cand[chosen]
+        feature[g[splits]] = feat[splits]
+        # children: each split node's absent then present child, left to right
+        sizes = np.column_stack([n0[chosen], n1[chosen]])[splits].ravel()
+        pos = np.column_stack([pos0[chosen], pos1[chosen]])[splits].ravel()
+        keep = splits[member]
+        rows, weight, member = rows[keep], weight[keep], member[keep]
+        present = flat.take(rows * d + feat[member])
+        node = 2 * (np.cumsum(splits) - 1)[member] + present
+    # assemble bottom-up: a depth's split nodes own the next depth's nodes in pairs
+    below: list = []
+    for sizes, pos, feature in reversed(levels):
+        probs = ((pos + 1) / (sizes + 2)).tolist()
+        child = iter(below)
+        below = [
+            _Leaf(prob) if f < 0 else _Split(f, next(child), next(child))
+            for f, prob in zip(feature.tolist(), probs)
+        ]
+    return below[0]
 
 
 def _score_into(node: "_Leaf | _Split", XT: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -337,8 +384,9 @@ class TreeModel(ProbabilisticClassifier):
     @classmethod
     def fit(cls, X: Matrix, y: np.ndarray, params: TreeParams) -> "TreeModel":
         X, y = _validate_training_input(X, y)
-        XT, W = _grow_arrays(X, y)
-        root = _grow(XT, W, np.arange(len(y)), 0, params, None, None)
+        n = len(y)
+        ones = np.ones(n, dtype=np.int64)
+        root = _grow_levels(X.bool_rows, y, np.arange(n), ones, params, None, None)
         return cls(root, X.shape[1])
 
 
@@ -383,16 +431,17 @@ class ForestModel(ProbabilisticClassifier):
             k = params.features_per_split
             if k > d:
                 raise TrainingError("features_per_split exceeds the dimension")
-        XT, W = _grow_arrays(X, y)
         trees: list[TreeModel] = []
         for t in range(params.n_trees):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-            rows = np.arange(n)
+            rows, weight = np.arange(n), np.ones(n, dtype=np.int64)
             if params.bootstrap:
                 idx = rng.integers(0, n, size=n)
                 if len(np.unique(y[idx])) >= 2:  # else degenerate: keep the full data
-                    rows = idx
-            root = _grow(XT, W, rows, 0, tree_params, k, rng)
+                    weight = np.bincount(idx, minlength=n)
+                    rows = np.flatnonzero(weight)
+                    weight = weight[rows]
+            root = _grow_levels(X.bool_rows, y, rows, weight, tree_params, k, rng)
             trees.append(TreeModel(root, d))
         return cls(trees, d)
 

@@ -41,21 +41,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: float, kind: type = float, *, high: float = math.inf, strict: bool = False):
+def _at_least(
+    low: float, kind: type = float, *, high: float = math.inf, strict: bool = False,
+    sets: str = "",
+):
     """argparse type: a finite `kind` in [low, high], or (low, high) if strict.
 
-    A bad value exits 1 naming its flag.
+    A bad value exits 1 naming its flag, and the parameter it `sets` if given.
     """
     bounds = [f"{'>' if strict else '>='} {low:g}"] if low > -math.inf else []
     if high < math.inf:
         bounds.append(f"{'<' if strict else '<='} {high:g}")
     rule = " and ".join(["finite", *bounds] if kind is float else bounds)
+    subject = f"{sets} must be" if sets else "must be"
 
     def parse(text: str):
         value = kind(text)
         inside = low < value < high if strict else low <= value <= high
         if not ((kind is int or math.isfinite(value)) and inside):  # isfinite overflows on big ints
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{subject} {rule}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
@@ -102,12 +106,14 @@ _SPEC_TYPES = {"int": int, "float": float, "bool": _spec_bool}
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", choices=[l.value for l in Learner], default="forest")
-    p.add_argument("--lr", type=float, default=0.1, help="linear learning rate")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--n-trees", type=int, default=100)
+    # the ranges of LinearParams, TreeParams and ForestParams, checked at the flag
+    p.add_argument("--lr", type=_at_least(0, strict=True, sets="learning_rate"), default=0.1,
+                   help="linear learning rate")
+    p.add_argument("--epochs", type=_at_least(1, int, sets="epochs"), default=200)
+    p.add_argument("--l2", type=_at_least(0, sets="l2"), default=1e-3)
+    p.add_argument("--max-depth", type=_at_least(0, int, sets="max_depth"), default=12)
+    p.add_argument("--min-leaf", type=_at_least(1, int, sets="min_leaf"), default=5)
+    p.add_argument("--n-trees", type=_at_least(1, int, sets="n_trees"), default=100)
     p.add_argument("--features-per-split", default="sqrt")
     p.add_argument("--no-bootstrap", action="store_true")
 
@@ -270,6 +276,12 @@ def _cmd_clean(args: argparse.Namespace) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     spec = _spec_from_args(args)
+    family = args.holdout_family
+    if family is not None and not 0 <= family < spec.n_families:  # the generator's family ids
+        raise UsageError(
+            f"argument --holdout-family: must be a family id in [0, {spec.n_families - 1}], "
+            f"got {family}"
+        )
     cfg = _train_config(args)
     base = generate_synthetic(spec)
     if args.protocol == "rq1":

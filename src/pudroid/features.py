@@ -246,9 +246,16 @@ class BinaryMatrix:
 
     @cached_property
     def XT(self) -> np.ndarray:
-        """(dimension, n) C-contiguous bool transpose, for the tree learners."""
+        """(dimension, n) C-contiguous bool transpose, for the tree scorer."""
         out = np.zeros((self.dimension, self.shape[0]), dtype=bool)
         out[self.indices, self._row_of] = True
+        return out
+
+    @cached_property
+    def bool_rows(self) -> np.ndarray:
+        """(n, dimension) C-contiguous bool matrix, for the tree growers."""
+        out = np.zeros(self.shape, dtype=bool)
+        out[self._row_of, self.indices] = True
         return out
 
     @cached_property

@@ -9,7 +9,6 @@ frequent in either class, which is what makes them discriminative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -67,7 +66,7 @@ def compute_thresholds(ds: PUDataset, eta: float = 2.0) -> SelectionThresholds:
     if eta < 1:
         raise ConfigError("eta must be >= 1")
     tm = max(1, round(eta))
-    tb = max(1, math.ceil(tm * n_u / n_p))
+    tb = max(1, -(-(tm * n_u) // n_p))  # exact ceiling: tm may be beyond float range
     return SelectionThresholds(eta=eta, tm=tm, tb=tb)
 
 

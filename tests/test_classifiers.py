@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import pu_datasets
 
+from pudroid import classifiers
 from pudroid.classifiers import (
     ForestModel,
     ForestParams,
@@ -22,7 +24,7 @@ from pudroid.classifiers import (
     logistic_loss_and_grad,
     train,
 )
-from pudroid.features import DatasetError, DimensionError, dense_matrix
+from pudroid.features import BinaryMatrix, DatasetError, DimensionError, dense_matrix
 from pudroid.pu import training_arrays
 
 
@@ -34,9 +36,15 @@ def _xor_free_problem(rng, n=80, d=6):
 
 
 # ---------------------------------------------------------------------------
-# Reference grower: the original copying CART, which slices the full float
-# matrix at every node and per bootstrap. The package grower must produce the
-# same serialized trees, node for node and bit for bit.
+# Reference grower: the original recursive, copying CART, which slices the full
+# float matrix at every node and per bootstrap. The package grower must produce
+# the same serialized trees, node for node and bit for bit.
+#
+# The package grows a depth at a time and draws the candidate sets of all of a
+# depth's nodes in one `_draw_candidates` call, left to right. The reference
+# grows in pre-order, and in pre-order the nodes of one depth come left to
+# right too; so it replays the recorded draws, handing each depth's rows out in
+# the order its nodes reach the draw.
 
 
 def _ref_gini(n, pos):
@@ -64,24 +72,41 @@ def _ref_best_split(X, y, candidates, min_leaf):
     return int(candidates[int(np.argmax(gain))])
 
 
-def _ref_grow(X, y, depth, params, k, rng) -> dict:
+class _Replay:
+    """One tree's recorded candidate draws, one (m, k) array per depth.
+
+    `taken[depth]` counts the nodes of that depth that have reached the draw;
+    in pre-order that count is the node's left-to-right index among them.
+    """
+
+    def __init__(self, levels: list[np.ndarray]):
+        self.levels = levels
+        self.taken = [0] * len(levels)
+
+    def draw(self, depth: int) -> np.ndarray:
+        i = self.taken[depth]
+        self.taken[depth] += 1
+        return self.levels[depth][i]
+
+    def all_taken(self) -> bool:
+        return self.taken == [len(level) for level in self.levels]
+
+
+def _ref_grow(X, y, depth, params, k, replay) -> dict:
     n = len(y)
     pos = int(y.sum())
     if depth >= params.max_depth or n < 2 * params.min_leaf or pos in (0, n):
         return {"leaf": repr((pos + 1) / (n + 2))}
     d = X.shape[1]
-    if k is None or k >= d:
-        candidates = np.arange(d)
-    else:
-        candidates = np.sort(rng.choice(d, size=k, replace=False))
+    candidates = np.arange(d) if k is None or k >= d else replay.draw(depth)
     feat = _ref_best_split(X, y, candidates, params.min_leaf)
     if feat is None:
         return {"leaf": repr((pos + 1) / (n + 2))}
     mask = X[:, feat] > 0.5
     return {
         "feature": feat,
-        "absent": _ref_grow(X[~mask], y[~mask], depth + 1, params, k, rng),
-        "present": _ref_grow(X[mask], y[mask], depth + 1, params, k, rng),
+        "absent": _ref_grow(X[~mask], y[~mask], depth + 1, params, k, replay),
+        "present": _ref_grow(X[mask], y[mask], depth + 1, params, k, replay),
     }
 
 
@@ -96,8 +121,42 @@ def _ref_tree(X, y, params: TreeParams) -> str:
     )
 
 
-def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int):
-    """(serialized forest, number of trees whose resample fell back to full data)."""
+def _state_key(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+
+
+@contextlib.contextmanager
+def _recorded_draws():
+    """Record every `_draw_candidates` call of the package grower.
+
+    Yields a dict from the generator's state at its first draw to the list of
+    that generator's draws, one per depth: the trees of a forest have distinct
+    generators, and a tree's n-th draw is its depth n-1's.
+    """
+    real = classifiers._draw_candidates
+    by_rng: dict = {}  # generator -> its draws; holds each generator, so no id is reused
+    by_start: dict = {}
+
+    def record(rng, m, d, k):
+        if rng not in by_rng:
+            by_rng[rng] = by_start[_state_key(rng)] = []
+        out = real(rng, m, d, k)
+        assert out.shape == (m, k)
+        by_rng[rng].append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "_draw_candidates", record)
+        yield by_start
+
+
+def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int, draws: dict):
+    """(serialized forest, number of trees whose resample fell back to full data).
+
+    Each tree replays the draws of the package tree whose generator started
+    its draws in the state this tree's generator is in after the resample.
+    """
     n, d = X.shape
     k = math.ceil(math.sqrt(d)) if params.features_per_split == "sqrt" else params.features_per_split
     trees, fallbacks = [], 0
@@ -110,9 +169,18 @@ def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int):
                 fallbacks += 1
             else:
                 Xt, yt = X[idx], y[idx]
-        trees.append(_ref_grow(Xt, yt, 0, tree_params, k, rng))
+        replay = _Replay(draws.get(_state_key(rng), []))
+        trees.append(_ref_grow(Xt, yt, 0, tree_params, k, replay))
+        assert replay.all_taken()  # the package drew for exactly the nodes that reach a draw
     data = {"version": "pudroid-model/1", "type": "forest", "dimension": d, "trees": trees}
     return _ref_dumps(data), fallbacks
+
+
+def _fit_and_replay(X, y, params: ForestParams, tree_params: TreeParams, seed: int):
+    """(package forest, replayed reference forest, reference fallback count)."""
+    with _recorded_draws() as draws:
+        got = ForestModel.fit(X, y, params, tree_params, seed)
+    return (got, *_ref_forest(X, y, params, tree_params, seed, draws))
 
 
 def _split_order(model: TreeModel) -> list[int]:
@@ -287,20 +355,20 @@ class TestGrowerOracle:
     def test_same_serialized_models_as_reference(self, problem):
         X, y, tree, forest, seed = problem
         assert TreeModel.fit(X, y, tree).serialize() == _ref_tree(X, y, tree)
-        got = ForestModel.fit(X, y, forest, tree, seed).serialize()
-        assert got == _ref_forest(X, y, forest, tree, seed)[0]
+        got, expected, _ = _fit_and_replay(X, y, forest, tree, seed)
+        assert got.serialize() == expected
 
     def test_degenerate_resample_falls_back_to_full_data(self):
-        X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        X = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
         y = np.array([1, 0, 0])
         forest, tree = ForestParams(n_trees=20), TreeParams(max_depth=3, min_leaf=1)
-        expected, fallbacks = _ref_forest(X, y, forest, tree, seed=0)
+        got, expected, fallbacks = _fit_and_replay(X, y, forest, tree, seed=0)
         assert fallbacks > 0
-        assert ForestModel.fit(X, y, forest, tree, seed=0).serialize() == expected
+        assert got.serialize() == expected
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "fc9e34d3286f9d3ace2369f408db040026a0e1c11c66f044ea1a00e04e5bb9ad"),
-        (1, "2cd451ade3c994288129a1731307946c9a293bb320f4db0178fb2d92589fc9ca"),
+        (0, "65f632efbc84f0121e7fb8132e5263c4a73b28b1d3744a921581498613dfbcfb"),
+        (1, "8eeaaa8b520b4411d3acde3322e28e572bee2efe581acbf6c2088c3dd8bf1360"),
     ])
     def test_forest_pin_at_benchmark_like_shape(self, seed, digest):
         # 2000x200, ~5% dense, labels from 8 planted features plus 10% noise:
@@ -311,6 +379,54 @@ class TestGrowerOracle:
         y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(2000) < 0.1)
         model = ForestModel.fit(X, y, ForestParams(n_trees=10), TreeParams(), seed)
         assert hashlib.sha256(model.serialize().encode()).hexdigest() == digest
+
+
+class TestCandidateDraw:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        m=st.integers(1, 40), d=st.integers(2, 300), data=st.data(),
+        seed=st.integers(0, 2**32 - 1), block=st.integers(1, 2000),
+    )
+    def test_sorted_subsets_whatever_the_block_size(self, m, d, data, seed, block):
+        k = data.draw(st.integers(1, d - 1))
+        whole = classifiers._draw_candidates(np.random.default_rng(seed), m, d, k)
+        assert whole.shape == (m, k)
+        assert ((np.diff(whole, axis=1) > 0).all() and whole.min() >= 0 and whole.max() < d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifiers, "_DRAW_BLOCK", block)
+            blocks = classifiers._draw_candidates(np.random.default_rng(seed), m, d, k)
+        assert np.array_equal(blocks, whole)
+
+    def test_draw_blocks_stay_bounded_at_large_dimension(self):
+        # 600 rows with random labels over d = 20000 features, sqrt(d) = 142
+        # candidates per node: in one block, a depth's draw would take m x 20000
+        # uniforms
+        n, d = 600, 20000
+        rng = np.random.default_rng(0)
+        X = rng.random((n, d)) < 0.002
+        X[:, :d:100] = rng.random((n, 200)) < 0.5  # dense enough for balanced splits
+        X = BinaryMatrix.from_dense(X)
+        y = rng.integers(0, 2, size=n)
+        calls, real = [], classifiers._draw_candidates  # per draw: (m, its block shapes)
+
+        def record(rng, m, d, k):
+            shapes = []
+
+            class Recording:
+                def random(self, size):
+                    shapes.append(size)
+                    return rng.random(size)
+
+            calls.append((m, shapes))
+            return real(Recording(), m, d, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifiers, "_draw_candidates", record)
+            ForestModel.fit(X, y, ForestParams(n_trees=2), TreeParams(min_leaf=20), 0)
+        blocks = [shape for _, shapes in calls for shape in shapes]
+        assert all(cols == d and rows * cols <= classifiers._DRAW_BLOCK for rows, cols in blocks)
+        assert all(sum(rows for rows, _ in shapes) == m for m, shapes in calls)
+        assert max(m for m, _ in calls) > classifiers._DRAW_BLOCK // d  # a depth took several blocks
 
 
 class TestCommonSurface:
@@ -434,8 +550,8 @@ class TestMatrixInput:
         assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
         forest = ForestParams(n_trees=3)
         got = ForestModel.fit(M, z, forest, tree, seed)
-        assert got.serialize() == ForestModel.fit(X, z, forest, tree, seed).serialize()
-        assert got.serialize() == _ref_forest(X, z, forest, tree, seed)[0]
+        from_dense, expected, _ = _fit_and_replay(X, z, forest, tree, seed)
+        assert got.serialize() == from_dense.serialize() == expected
         assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
 
     @pytest.mark.parametrize("learner", list(Learner))

@@ -258,6 +258,14 @@ class TestExitCodes:
         (["select-features", "--tb-override", "0"], "--tb-override"),
         # an integer beyond float range
         (["experiment", "--protocol", "rq1", "--step", "-1" + "0" * 400], "--step"),
+        (["clean", "--max-depth", "-1"], "--max-depth"),
+        (["clean", "--min-leaf", "0"], "--min-leaf"),
+        (["clean", "--n-trees", "0"], "--n-trees"),
+        (["clean", "--epochs", "0"], "--epochs"),
+        (["clean", "--lr", "0"], "--lr"),
+        (["clean", "--lr", "inf"], "--lr"),
+        (["clean", "--l2", "-1"], "--l2"),
+        (["experiment", "--protocol", "rq2", "--n-trees", "0"], "--n-trees"),
     ])
     def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "o.json"
@@ -290,6 +298,27 @@ class TestExitCodes:
         assert "tm=99999" in err and "tb=99999" in err
         assert "Traceback" not in err
         assert not out.exists() and not names.exists()
+
+    def test_beyond_float_eta_is_an_empty_selection(self, dataset_file, tmp_path, capsys):
+        # tm = round(1e308) has 309 digits; tb is its exact integer ceiling share
+        out = tmp_path / "sel.json"
+        code = run(["select-features", "--dataset", str(dataset_file), "--eta", "1e308",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"tm={round(1e308)} " in err and "tb=" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["4", "99", "-1"])
+    def test_unknown_holdout_family_is_usage_error(self, tmp_path, capsys, family):
+        out = tmp_path / "rq3.json"
+        code = run(["experiment", "--protocol", "rq3", "--n-families", "4",
+                    "--holdout-family", family, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument --holdout-family: must be a family id in [0, 3], got {family}" in err
+        assert not out.exists()
 
     def test_malformed_feature_file_names_file_and_app(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("api::getDeviceId\n")

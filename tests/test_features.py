@@ -184,6 +184,7 @@ class TestBinaryMatrixOracle:
         np.testing.assert_allclose(M @ w, X @ w, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(M.rmatvec(r), X.T @ r, rtol=1e-12, atol=1e-12)
         assert M.XT.flags.c_contiguous and np.array_equal(M.XT, X.T > 0)
+        assert M.bool_rows.flags.c_contiguous and np.array_equal(M.bool_rows, X > 0)
         order = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
         assert np.array_equal(M[order].XT.T, X[order])
         twin = BinaryMatrix.from_dense(X)

@@ -17,11 +17,11 @@ from pudroid.datasets import save_dataset
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 GOLDEN = {
-    "clean-forest/report": "6db63fb7999872ee55f871c374b571a2fa40898ab55c52a985e731d2cdbea80b",
-    "clean-forest/cleaned": "cca8adb5aea4b4737df54fb943924439915e7bc9fbd2f06cdada5fc37659c3ae",
+    "clean-forest/report": "ff21107b66577f138b1176a2cead83745eb6b76b81cec54ac96f22ae5db2c539",
+    "clean-forest/cleaned": "d44e10abd0511f8a48d4d56aedea274e21348126caec28951fe15e432786d5b4",
     "clean-tree/report": "082a356a327efdbd2f82752a05f70cec629321f41a2ee881eca9608e501e818b",
     "clean-tree/cleaned": "4ecb39a885507a2e0b47a08aaab8e29b7101e9ea2e0ffba0116b0ed0fe9f6617",
-    "rq2/report": "b2a275b585656d0cdc84bf80658d948312d5514afbe15e1d1ca5645c4078225a",
+    "rq2/report": "8c825d9b8ffbe59736b094af971a3c869c10989e590ca8c5f6366ca12181f47e",
 }
 
 
