@@ -11,7 +11,9 @@ Trees grow level by level, as in XGBoost (Chen & Guestrin, KDD 2016) and
 LightGBM (Ke et al., NeurIPS 2017): all nodes of a depth are split by one set
 of array operations over (distinct row, bootstrap count) pairs, with integer
 split counts, so a single tree is the one a node-by-node grower builds, bit
-for bit.
+for bit. The per-depth arrays the grower builds are the tree model itself:
+scoring, the nested model JSON and reading it back all run depth by depth,
+with no node objects and no recursion.
 
 Training is fully determined by (data, config, seed); each forest tree draws
 its RNG stream from (seed, tree_index) so tree-level parallelism could never
@@ -23,6 +25,7 @@ seed; no level-wise order can replay a pre-order stream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,6 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .datasets import json_at
 from .features import BinaryMatrix, DimensionError
 
 FORMAT_VERSION = "pudroid-model/1"
@@ -219,16 +223,16 @@ class LinearModel(ProbabilisticClassifier):
 # decision tree
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    prob: float
+# A tree is its levels: per depth, per node left to right, the split feature
+# (-1 for a leaf) and the Laplace probability (pos + 1) / (size + 2). A depth's
+# split nodes own the next depth's nodes in pairs, absent child first.
+Levels = list[tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class _Split:
-    feature: int
-    absent: "_Leaf | _Split"
-    present: "_Leaf | _Split"
+def _child_index(split: np.ndarray, node: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each row's node at the next depth from its split node at this one: split
+    node j's children are 2 * (split nodes left of j), absent, and the next one."""
+    return 2 * (np.cumsum(split) - 1)[node] + present
 
 
 def _gini(n: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -263,8 +267,8 @@ def _grow_levels(
     params: TreeParams,
     k: Optional[int],
     rng: Optional[np.random.Generator],
-) -> "_Leaf | _Split":
-    """Grow a tree one depth at a time on `rows`, distinct row indices of the
+) -> Levels:
+    """Grow a tree's levels one depth at a time on `rows`, distinct row indices of the
     fit's data, row rows[i] standing for weight[i] copies (its bootstrap count).
 
     XR is the (n, d) row-major bool data and y its 0/1 labels. With k None (or
@@ -280,10 +284,10 @@ def _grow_levels(
     node = np.zeros(len(rows), dtype=np.int64)  # each row's node, in its depth's order
     sizes = np.array([weight.sum()])  # per node: rows with multiplicity, and positives
     pos = np.array([weight @ y[rows]])
-    levels = []  # per depth, per node left to right: (sizes, positives, split feature or -1)
+    levels: Levels = []
     for depth in itertools.count():
         feature = np.full(len(sizes), -1)
-        levels.append((sizes, pos, feature))
+        levels.append((feature, (pos + 1) / (sizes + 2)))
         grows = (pos > 0) & (pos < sizes) & (sizes >= 2 * params.min_leaf)
         if depth >= params.max_depth or d == 0 or not grows.any():  # d == 0: nothing to split on
             break
@@ -293,7 +297,7 @@ def _grow_levels(
         m = len(g)
         keep = grows[node]
         rows, weight = rows[keep], weight[keep]
-        key = 2 * (np.cumsum(grows) - 1)[node[keep]] + y[rows]
+        key = _child_index(grows, node[keep], y[rows])  # as if each split on its label
         if 2 * m <= 1 << 16:  # numpy's stable sort of 16-bit keys is a radix sort
             key = key.astype(np.uint16)
         order = np.argsort(key, kind="stable")
@@ -322,6 +326,8 @@ def _grow_levels(
         best = np.where(valid, gain, -np.inf).argmax(axis=1)
         chosen = np.arange(m), best
         splits = valid[chosen]
+        if not splits.any():  # the next depth would be empty
+            break
         feat = best if cand is None else cand[chosen]
         feature[g[splits]] = feat[splits]
         # children: each split node's absent then present child, left to right
@@ -330,47 +336,44 @@ def _grow_levels(
         keep = splits[member]
         rows, weight, member = rows[keep], weight[keep], member[keep]
         present = flat.take(rows * d + feat[member])
-        node = 2 * (np.cumsum(splits) - 1)[member] + present
-    # assemble bottom-up: a depth's split nodes own the next depth's nodes in pairs
-    below: list = []
-    for sizes, pos, feature in reversed(levels):
-        probs = ((pos + 1) / (sizes + 2)).tolist()
+        node = _child_index(splits, member, present)
+    return levels
+
+
+def _tree_dict(levels: Levels) -> dict:
+    """The nested JSON of a tree, built bottom-up."""
+    below: list[dict] = []
+    for feature, prob in reversed(levels):
         child = iter(below)
         below = [
-            _Leaf(prob) if f < 0 else _Split(f, next(child), next(child))
-            for f, prob in zip(feature.tolist(), probs)
+            {"leaf": repr(p)} if f < 0
+            else {"feature": f, "absent": next(child), "present": next(child)}
+            for f, p in zip(feature.tolist(), prob.tolist())
         ]
     return below[0]
 
 
-def _score_into(node: "_Leaf | _Split", XT: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, _Leaf):
-        out[rows] = node.prob
-        return
-    present = XT[node.feature].take(rows)
-    _score_into(node.absent, XT, rows[~present], out)
-    _score_into(node.present, XT, rows[present], out)
-
-
-def _node_to_dict(node: "_Leaf | _Split") -> dict:
-    if isinstance(node, _Leaf):
-        return {"leaf": repr(node.prob)}
-    return {
-        "feature": node.feature,
-        "absent": _node_to_dict(node.absent),
-        "present": _node_to_dict(node.present),
-    }
-
-
 class TreeModel(ProbabilisticClassifier):
-    def __init__(self, root: "_Leaf | _Split", dimension: int):
-        self.root = root
+    def __init__(self, levels: Levels, dimension: int):
+        self.levels = levels
         self.dimension = dimension
 
     def score_matrix(self, X: Matrix) -> np.ndarray:
+        """Depth by depth, the rows at a leaf take its probability and the
+        others move to their child, as in the grower: no recursion."""
         X = self._check_dim(X)
+        flat = X.bool_rows.reshape(-1)
         out = np.empty(X.shape[0])
-        _score_into(self.root, X.XT, np.arange(X.shape[0]), out)
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for feature, prob in self.levels:
+            f = feature.take(node)
+            leaf = f < 0
+            if leaf.any():
+                out[rows[leaf]] = prob.take(node[leaf])
+                inner = np.flatnonzero(~leaf)
+                rows, node, f = rows.take(inner), node.take(inner), f.take(inner)
+            node = _child_index(feature >= 0, node, flat.take(rows * self.dimension + f))
         return out
 
     def to_dict(self) -> dict:
@@ -378,7 +381,7 @@ class TreeModel(ProbabilisticClassifier):
             "version": FORMAT_VERSION,
             "type": "tree",
             "dimension": self.dimension,
-            "root": _node_to_dict(self.root),
+            "root": _tree_dict(self.levels),
         }
 
     @classmethod
@@ -386,8 +389,8 @@ class TreeModel(ProbabilisticClassifier):
         X, y = _validate_training_input(X, y)
         n = len(y)
         ones = np.ones(n, dtype=np.int64)
-        root = _grow_levels(X.bool_rows, y, np.arange(n), ones, params, None, None)
-        return cls(root, X.shape[1])
+        levels = _grow_levels(X.bool_rows, y, np.arange(n), ones, params, None, None)
+        return cls(levels, X.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +403,7 @@ class ForestModel(ProbabilisticClassifier):
         self.dimension = dimension
 
     def score_matrix(self, X: Matrix) -> np.ndarray:
-        X = self._check_dim(X)  # converted once, so the trees share its XT
+        X = self._check_dim(X)  # converted once, so the trees share its bool_rows
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += tree.score_matrix(X)
@@ -411,7 +414,7 @@ class ForestModel(ProbabilisticClassifier):
             "version": FORMAT_VERSION,
             "type": "forest",
             "dimension": self.dimension,
-            "trees": [_node_to_dict(t.root) for t in self.trees],
+            "trees": [_tree_dict(t.levels) for t in self.trees],
         }
 
     @classmethod
@@ -441,8 +444,8 @@ class ForestModel(ProbabilisticClassifier):
                     weight = np.bincount(idx, minlength=n)
                     rows = np.flatnonzero(weight)
                     weight = weight[rows]
-            root = _grow_levels(X.bool_rows, y, rows, weight, tree_params, k, rng)
-            trees.append(TreeModel(root, d))
+            levels = _grow_levels(X.bool_rows, y, rows, weight, tree_params, k, rng)
+            trees.append(TreeModel(levels, d))
         return cls(trees, d)
 
 
@@ -459,25 +462,61 @@ def train(X: Matrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier
     return ForestModel.fit(X, y, cfg.forest, cfg.tree, cfg.seed)
 
 
-def _node_from_dict(data: dict) -> "_Leaf | _Split":
-    if "leaf" in data:
-        return _Leaf(float(data["leaf"]))
-    return _Split(
-        int(data["feature"]),
-        _node_from_dict(data["absent"]),
-        _node_from_dict(data["present"]),
-    )
+_at = functools.partial(json_at, doc="model JSON")
+
+
+def _float(text: str, path: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """float(text), or a ValueError naming its JSON path unless it is in [low, high]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    _require(low <= value <= high, f"model JSON: {path}", f"a number in [{low:g}, {high:g}]", text)
+    return value
+
+
+def _tree_from_dict(root: dict, d: int, path: str) -> TreeModel:
+    """A tree's levels, read breadth-first from its nested JSON. The format
+    holds leaf probabilities only, so an internal node's reads NaN."""
+    levels: Levels = []
+    nodes = [(root, path)]
+    while nodes:
+        feature, prob, below = [], [], []
+        for node, at in nodes:
+            if "leaf" in node:
+                feature.append(-1)
+                prob.append(_float(_at(node, "leaf", str, at), f"{at}.leaf", 0.0, 1.0))
+                continue
+            f = _at(node, "feature", int, at)  # a bool passes as an int, but fails below
+            _require(type(f) is int and 0 <= f < d, f"model JSON: {at}.feature",
+                     f"an integer in [0, {d})", f)
+            feature.append(f)
+            prob.append(math.nan)
+            below += [(_at(node, side, dict, at), f"{at}.{side}") for side in ("absent", "present")]
+        levels.append((np.array(feature, dtype=np.int64), np.array(prob)))
+        nodes = below
+    return TreeModel(levels, d)
 
 
 def deserialize(text: str) -> ProbabilisticClassifier:
+    """The model serialize() wrote; a malformed document raises a ValueError
+    naming its JSON path ($ is the document root)."""
     data = json.loads(text)
+    _require(isinstance(data, dict), "model JSON: $", "an object", type(data).__name__)
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {data.get('version')!r}")
-    if data["type"] == "linear":
-        return LinearModel(np.array([float(v) for v in data["weights"]]), float(data["bias"]))
-    if data["type"] == "tree":
-        return TreeModel(_node_from_dict(data["root"]), int(data["dimension"]))
-    if data["type"] == "forest":
-        d = int(data["dimension"])
-        return ForestModel([TreeModel(_node_from_dict(t), d) for t in data["trees"]], d)
-    raise ValueError(f"unknown model type {data['type']!r}")
+    kind = _at(data, "type", str, "$")
+    kinds = [learner.value for learner in Learner]
+    _require(kind in kinds, "model JSON: $.type", f"one of {kinds}", kind)
+    if kind == "linear":
+        w = _at(data, "weights", list, "$")
+        w = [_float(_at(w, i, str, "$.weights"), f"$.weights[{i}]") for i in range(len(w))]
+        return LinearModel(np.array(w), _float(_at(data, "bias", str, "$"), "$.bias"))
+    d = _at(data, "dimension", int, "$")
+    _require(type(d) is int and d >= 0, "model JSON: $.dimension", "an integer >= 0", d)
+    if kind == "tree":
+        return _tree_from_dict(_at(data, "root", dict, "$"), d, "$.root")
+    trees = _at(data, "trees", list, "$")
+    _require(len(trees) > 0, "model JSON: $.trees", "a non-empty list", trees)
+    at = [(_at(trees, i, dict, "$.trees"), f"$.trees[{i}]") for i in range(len(trees))]
+    return ForestModel([_tree_from_dict(tree, d, path) for tree, path in at], d)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .selection import (
     project_dataset,
     select_features,
 )
-from .synthetic import SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic, within
 
 
 class UsageError(Exception):
@@ -41,25 +40,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(
-    low: float, kind: type = float, *, high: float = math.inf, strict: bool = False,
-    sets: str = "",
-):
-    """argparse type: a finite `kind` in [low, high], or (low, high) if strict.
+def _in(interval: str, kind: type = float, sets: str = ""):
+    """argparse type: a `kind` in the interval, written "[low, high)" and the like
+    (an open infinite end keeps infinities out, and NaN is in no interval).
 
     A bad value exits 1 naming its flag, and the parameter it `sets` if given.
     """
-    bounds = [f"{'>' if strict else '>='} {low:g}"] if low > -math.inf else []
-    if high < math.inf:
-        bounds.append(f"{'<' if strict else '<='} {high:g}")
-    rule = " and ".join(["finite", *bounds] if kind is float else bounds)
     subject = f"{sets} must be" if sets else "must be"
 
     def parse(text: str):
         value = kind(text)
-        inside = low < value < high if strict else low <= value <= high
-        if not ((kind is int or math.isfinite(value)) and inside):  # isfinite overflows on big ints
-            raise argparse.ArgumentTypeError(f"{subject} {rule}, got {text!r}")
+        if not within(value, interval):
+            raise argparse.ArgumentTypeError(f"{subject} in {interval}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
@@ -68,7 +60,7 @@ def _at_least(
 
 def _ratio(text: str) -> float:
     try:
-        return _at_least(0)(text)
+        return _in("[0, inf)")(text)
     except ValueError:  # else argparse names this module's parser function, not the ratio
         raise argparse.ArgumentTypeError(f"ratio {text!r} is not a number") from None
 
@@ -80,8 +72,20 @@ def _ratio_list(text: str) -> list[float]:
     return ratios
 
 
-_seed = _at_least(0, int)
-_fraction = _at_least(0, high=1, strict=True)
+_seed = _in("[0, inf)", int)
+_fraction = _in("(0, 1)")
+
+
+def _features_per_split(text: str) -> int | str:
+    """argparse type: 'sqrt' or an integer >= 1, the values ForestParams takes."""
+    try:
+        value = "sqrt" if text.strip() == "sqrt" else int(text)
+    except ValueError:
+        value = 0
+    if value != "sqrt" and value < 1:
+        rule = "'sqrt' or an integer >= 1"
+        raise argparse.ArgumentTypeError(f"features_per_split must be {rule}, got {text!r}")
+    return value
 
 
 def _seed_from_env() -> int:
@@ -102,35 +106,36 @@ def _spec_bool(text: str) -> bool:
 # the generator inputs: every SyntheticSpec field but the run seed, typed "int", "float" or "bool"
 _SPEC_FIELDS = {f.name: f for f in dataclasses.fields(SyntheticSpec) if f.name != "seed"}
 _SPEC_TYPES = {"int": int, "float": float, "bool": _spec_bool}
+# per generator input, its parser; a range error is an argparse.ArgumentTypeError
+_SPEC_PARSE = {
+    name: _in(f.metadata["range"], _SPEC_TYPES[f.type], sets=name) if "range" in f.metadata
+    else _SPEC_TYPES[f.type]
+    for name, f in _SPEC_FIELDS.items()
+}
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", choices=[l.value for l in Learner], default="forest")
     # the ranges of LinearParams, TreeParams and ForestParams, checked at the flag
-    p.add_argument("--lr", type=_at_least(0, strict=True, sets="learning_rate"), default=0.1,
+    p.add_argument("--lr", type=_in("(0, inf)", sets="learning_rate"), default=0.1,
                    help="linear learning rate")
-    p.add_argument("--epochs", type=_at_least(1, int, sets="epochs"), default=200)
-    p.add_argument("--l2", type=_at_least(0, sets="l2"), default=1e-3)
-    p.add_argument("--max-depth", type=_at_least(0, int, sets="max_depth"), default=12)
-    p.add_argument("--min-leaf", type=_at_least(1, int, sets="min_leaf"), default=5)
-    p.add_argument("--n-trees", type=_at_least(1, int, sets="n_trees"), default=100)
-    p.add_argument("--features-per-split", default="sqrt")
+    p.add_argument("--epochs", type=_in("[1, inf)", int, sets="epochs"), default=200)
+    p.add_argument("--l2", type=_in("[0, inf)", sets="l2"), default=1e-3)
+    p.add_argument("--max-depth", type=_in("[0, inf)", int, sets="max_depth"), default=12)
+    p.add_argument("--min-leaf", type=_in("[1, inf)", int, sets="min_leaf"), default=5)
+    p.add_argument("--n-trees", type=_in("[1, inf)", int, sets="n_trees"), default=100)
+    p.add_argument("--features-per-split", type=_features_per_split, default="sqrt")
     p.add_argument("--no-bootstrap", action="store_true")
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    fps = args.features_per_split
-    fps = int(fps) if fps.isdecimal() else fps  # ForestParams names any other bad value
-    try:
-        return TrainConfig(
-            seed=args.seed,
-            learner=Learner(args.learner),
-            linear=LinearParams(args.lr, args.epochs, args.l2),
-            tree=TreeParams(args.max_depth, args.min_leaf),
-            forest=ForestParams(args.n_trees, fps, not args.no_bootstrap),
-        )
-    except ValueError as exc:  # a params check, naming its parameter
-        raise UsageError(str(exc)) from None
+    return TrainConfig(
+        seed=args.seed,
+        learner=Learner(args.learner),
+        linear=LinearParams(args.lr, args.epochs, args.l2),
+        tree=TreeParams(args.max_depth, args.min_leaf),
+        forest=ForestParams(args.n_trees, args.features_per_split, not args.no_bootstrap),
+    )
 
 
 def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
@@ -150,9 +155,11 @@ def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
                 raise ValueError(f"{where}: unknown generator spec key {key!r}")
             kind = _SPEC_FIELDS[key].type
             try:
-                values[key] = _SPEC_TYPES[kind](value)
+                values[key] = _SPEC_PARSE[key](value)
             except ValueError:
                 raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     values.update((k, getattr(args, k)) for k in _SPEC_FIELDS if getattr(args, k) is not None)
     return SyntheticSpec(**values, seed=args.seed)
 
@@ -160,7 +167,7 @@ def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("generator", "each flag overrides the --spec-file key of its name")
     for name, f in _SPEC_FIELDS.items():
-        kind = {"action": "store_true"} if f.type == "bool" else {"type": _SPEC_TYPES[f.type]}
+        kind = {"action": "store_true"} if f.type == "bool" else {"type": _SPEC_PARSE[name]}
         group.add_argument(
             "--" + name.replace("_", "-"), default=None, help=f.metadata.get("help"), **kind
         )
@@ -178,18 +185,18 @@ def build_parser() -> _Parser:
 
     p_sel = sub.add_parser("select-features", help="occurrence-threshold selection")
     p_sel.add_argument("--dataset", required=True)
-    p_sel.add_argument("--eta", type=_at_least(1), default=2.0)
-    p_sel.add_argument("--tm-override", type=_at_least(1, int), default=None)
-    p_sel.add_argument("--tb-override", type=_at_least(1, int), default=None)
+    p_sel.add_argument("--eta", type=_in("[1, inf)"), default=2.0)
+    p_sel.add_argument("--tm-override", type=_in("[1, inf)", int), default=None)
+    p_sel.add_argument("--tb-override", type=_in("[1, inf)", int), default=None)
     p_sel.add_argument("--out", required=True)
     p_sel.add_argument("--features-out", default=None, help="retained feature names, one per line")
 
     p_clean = sub.add_parser("clean", help="detect and relabel contaminants")
     p_clean.add_argument("--dataset", required=True)
     p_clean.add_argument("--split-fraction", type=_fraction, default=0.2)
-    p_clean.add_argument("--rescale-trigger", type=_at_least(-math.inf), default=0.7)
+    p_clean.add_argument("--rescale-trigger", type=_in("(-inf, inf)"), default=0.7)
     # a target of 0 sets g to 0 and flags nothing
-    p_clean.add_argument("--rescale-target", type=_at_least(0, strict=True), default=1.0)
+    p_clean.add_argument("--rescale-target", type=_in("(0, inf)"), default=1.0)
     p_clean.add_argument("--discard", action="store_true", help="drop contaminants instead of relabeling")
     p_clean.add_argument("--seed", type=_seed, default=None, help="default: $PUDROID_SEED or 0")
     p_clean.add_argument("--out", required=True)
@@ -200,10 +207,10 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--protocol", required=True, choices=["rq1", "rq2", "rq3", "rq4"])
     p_exp.add_argument("--spec-file", default=None, help="generator spec as key=value lines")
     _add_spec_flags(p_exp)
-    p_exp.add_argument("--iterations", type=_at_least(0, int), default=5)
-    p_exp.add_argument("--step", type=_at_least(1, int), default=100)
+    p_exp.add_argument("--iterations", type=_in("[0, inf)", int), default=5)
+    p_exp.add_argument("--step", type=_in("[1, inf)", int), default=100)
     p_exp.add_argument("--ratios", type=_ratio_list, default="1,2,3,4,5,6,7,8")
-    p_exp.add_argument("--ratio", type=_at_least(0), default=8.0)
+    p_exp.add_argument("--ratio", type=_in("[0, inf)"), default=8.0)
     p_exp.add_argument("--holdout-family", type=int, default=None)
     p_exp.add_argument("--split-fraction", type=_fraction, default=0.2)
     p_exp.add_argument("--seed", type=_seed, default=None, help="default: $PUDROID_SEED or 0")

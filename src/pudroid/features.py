@@ -198,8 +198,8 @@ class BinaryMatrix:
     """An (n, dimension) 0/1 matrix as CSR rows: the one input the learners
     train and score on. Row i is 1 at indices[indptr[i]:indptr[i + 1]].
 
-    The products and the transposed bool view are built from the CSR arrays
-    on first use and cached, so the sparse-to-matrix step costs no copy.
+    The products and the bool view are built from the CSR arrays on first use
+    and cached, so the sparse-to-matrix step costs no copy.
     """
 
     indptr: np.ndarray  # int64, n + 1
@@ -245,15 +245,8 @@ class BinaryMatrix:
         return _segment_sums(r.take(row_of, mode="wrap"), cols, starts, self.dimension)
 
     @cached_property
-    def XT(self) -> np.ndarray:
-        """(dimension, n) C-contiguous bool transpose, for the tree scorer."""
-        out = np.zeros((self.dimension, self.shape[0]), dtype=bool)
-        out[self.indices, self._row_of] = True
-        return out
-
-    @cached_property
     def bool_rows(self) -> np.ndarray:
-        """(n, dimension) C-contiguous bool matrix, for the tree growers."""
+        """(n, dimension) C-contiguous bool matrix, for the tree grower and scorer."""
         out = np.zeros(self.shape, dtype=bool)
         out[self._row_of, self.indices] = True
         return out

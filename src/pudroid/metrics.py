@@ -52,19 +52,13 @@ def rank_auc(truth: Sequence[int], scores: Sequence[float]) -> float:
         return float("nan")
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_truth = truth[order]
-    # doubled rank sum over positives: tie group at 1-based positions i..j
-    # contributes (i + j) per member
-    double_rank_sum = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        pos_in_group = int(sorted_truth[i : j + 1].sum())
-        double_rank_sum += pos_in_group * ((i + 1) + (j + 1))
-        i = j + 1
+    # tie groups at 0-based positions start..end-1, that is 1-based i..j with
+    # i = start + 1 and j = end: each positive in one contributes i + j to the
+    # doubled rank sum
+    start = np.flatnonzero(np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]]))
+    end = np.append(start[1:], len(scores))
+    pos_in_group = np.add.reduceat(truth[order], start)
+    double_rank_sum = int(pos_in_group @ (start + 1 + end))
     numerator = double_rank_sum - n_pos * (n_pos + 1)
     return numerator / (2 * n_pos * n_neg)
 

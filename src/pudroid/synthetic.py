@@ -17,7 +17,7 @@ posterior p(y=1 | x) is available for oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,31 +31,37 @@ class SpecError(ValueError):
     pass
 
 
+def within(value, interval: str) -> bool:
+    """Whether value lies in an interval written "[low, high)" and the like; NaN lies in none."""
+    low, high = map(float, interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_positive: int = 2000
-    n_negative: int = 6000
-    dimension: int = 200
-    signal_features: int = 8  # per-family block size
-    flip_noise: float = 0.05
-    label_frequency_c: float = 1.0
-    n_families: int = 4
+    # each field's "range" is checked here and by the CLI's flags and spec-file keys
+    n_positive: int = field(default=2000, metadata={"range": "[1, inf)"})
+    n_negative: int = field(default=6000, metadata={"range": "[1, inf)"})
+    dimension: int = field(default=200, metadata={"range": "[0, inf)"})
+    signal_features: int = field(default=8, metadata={"range": "[0, inf)"})  # per family
+    flip_noise: float = field(default=0.05, metadata={"range": "[0, 0.5)"})
+    label_frequency_c: float = field(default=1.0, metadata={"range": "(0, 1]"})
+    n_families: int = field(default=4, metadata={"range": "[1, inf)"})
     family_exclusive: bool = field(
         default=False, metadata={"help": "give each family its own disjoint signal block"}
     )
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_positive < 1 or self.n_negative < 1:
-            raise SpecError("both classes need at least one sample")
-        if self.n_families < 1 or self.n_families > self.n_positive:
-            raise SpecError("families must be between 1 and n_positive")
+        for f in fields(self):
+            value, interval = getattr(self, f.name), f.metadata.get("range")
+            if interval and not within(value, interval):
+                raise SpecError(f"{f.name} must be in {interval}, got {value!r}")
+        if self.n_families > self.n_positive:
+            raise SpecError("n_families must be at most n_positive")
         if self.signal_features * self.n_families > self.dimension:
             raise SpecError("family signal blocks do not fit in the dimension")
-        if not 0.0 <= self.flip_noise < 0.5:
-            raise SpecError("flip_noise must be in [0, 0.5)")
-        if not 0.0 < self.label_frequency_c <= 1.0:
-            raise SpecError("label_frequency_c must be in (0, 1]")
 
 
 @dataclass(frozen=True)

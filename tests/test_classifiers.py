@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pudroid.classifiers import (
     logistic_loss_and_grad,
     train,
 )
-from pudroid.features import BinaryMatrix, DatasetError, DimensionError, dense_matrix
+from pudroid.features import BinaryMatrix, DatasetError, DimensionError, dense_matrix, offsets
 from pudroid.pu import training_arrays
 
 
@@ -427,6 +428,133 @@ class TestCandidateDraw:
         assert all(cols == d and rows * cols <= classifiers._DRAW_BLOCK for rows, cols in blocks)
         assert all(sum(rows for rows, _ in shapes) == m for m, shapes in calls)
         assert max(m for m, _ in calls) > classifiers._DRAW_BLOCK // d  # a depth took several blocks
+
+
+def _walk(tree: dict, X) -> list[float]:
+    """Per row, the leaf probability a plain walk of a serialized tree reaches."""
+    out = []
+    for row in np.asarray(X):
+        node = tree
+        while "feature" in node:
+            node = node["present" if row[node["feature"]] else "absent"]
+        out.append(float(node["leaf"]))
+    return out
+
+
+class TestLevelScorer:
+    """Trees are their level arrays; scoring walks them depth by depth."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(problem=_grow_problem(), extra=st.integers(0, 2**32 - 1))
+    def test_scores_are_a_walk_of_the_serialized_trees(self, problem, extra):
+        X, y, tree, forest, seed = problem
+        rng = np.random.default_rng(extra)
+        Z = np.vstack([X, rng.random((10, X.shape[1])) < 0.5])  # rows the fit never saw
+        model = TreeModel.fit(X, y, tree)
+        assert model.score_matrix(Z).tolist() == _walk(model.to_dict()["root"], Z)
+        model = ForestModel.fit(X, y, forest, tree, seed)
+        total = [0.0] * len(Z)
+        for t in json.loads(model.serialize())["trees"]:
+            total = [a + b for a, b in zip(total, _walk(t, Z))]
+        expected = [v / forest.n_trees for v in total]
+        assert model.score_matrix(Z).tolist() == expected
+        assert deserialize(model.serialize()).score_matrix(Z).tolist() == expected
+
+    @settings(deadline=None, max_examples=50)
+    @given(_grow_problem())
+    def test_deserialize_reads_the_fitted_levels(self, problem):
+        X, y, tree, _, _ = problem
+        model = TreeModel.fit(X, y, tree)
+        clone = deserialize(model.serialize())
+        assert len(clone.levels) == len(model.levels)
+        for (feature, prob), (got_feature, got_prob) in zip(model.levels, clone.levels):
+            assert np.array_equal(got_feature, feature)
+            leaf = feature < 0
+            assert np.array_equal(got_prob[leaf], prob[leaf])
+            assert np.isnan(got_prob[~leaf]).all()  # the format holds leaf values only
+            assert ((prob[~leaf] > 0) & (prob[~leaf] < 1)).all()  # the fit keeps them
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # depth D: node k splits on feature k, its absent child is a leaf of
+        # probability (k + 1) / (D + 2) and its present child goes on; row i has
+        # features 0..i-1, so it leaves the chain at depth i + 1 with score
+        # (i + 1) / (D + 2). A recursive scorer needs D nested calls here.
+        D = sys.getrecursionlimit() + 100
+        levels = [(np.array([0]), np.array([math.nan]))]
+        for k in range(1, D):
+            levels.append((np.array([-1, k]), np.array([k / (D + 2), math.nan])))
+        levels.append((np.array([-1, -1]), np.array([D / (D + 2), (D + 1) / (D + 2)])))
+        model = TreeModel(levels, D)
+        staircase = np.concatenate([np.arange(i) for i in range(D + 1)])
+        X = BinaryMatrix(offsets(np.arange(D + 1)), staircase, D)
+        expected = (np.arange(D + 1) + 1) / (D + 2)
+        assert np.array_equal(model.score_matrix(X), expected)
+        assert np.array_equal(ForestModel([model, model], D).score_matrix(X), expected)
+        some = np.r_[0:D + 1:97, D]
+        assert _walk(model.to_dict()["root"], X.bool_rows[some]) == expected[some].tolist()
+
+
+def _tree_doc(root: dict, dimension: int = 3) -> dict:
+    return {"version": "pudroid-model/1", "type": "tree", "dimension": dimension, "root": root}
+
+
+def _stump(feature=2, absent="0.1", present="0.9") -> dict:
+    return {"feature": feature, "absent": {"leaf": absent}, "present": {"leaf": present}}
+
+
+def _forest_doc(*trees) -> dict:
+    return {"version": "pudroid-model/1", "type": "forest", "dimension": 3, "trees": list(trees)}
+
+
+def _linear_doc(weights, bias="0.5") -> dict:
+    return {"version": "pudroid-model/1", "type": "linear", "weights": weights, "bias": bias}
+
+
+class TestModelJson:
+    def test_hand_written_stump_scores(self):
+        model = deserialize(json.dumps(_tree_doc(_stump())))
+        X = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert model.score_matrix(X).tolist() == [0.9, 0.1]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "$ must be an object, got 'list'"),
+        ({"version": "pudroid-model/1"}, "missing $.type"),
+        ({**_tree_doc(_stump()), "type": "svm"}, "$.type must be one of"),
+        ({k: v for k, v in _tree_doc(_stump()).items() if k != "dimension"}, "missing $.dimension"),
+        (_tree_doc(_stump(), "3"), "$.dimension must be int, got str"),
+        (_tree_doc(_stump(), -1), "$.dimension must be an integer >= 0, got -1"),
+        (_tree_doc(_stump(), True), "$.dimension must be an integer >= 0, got True"),
+        ({**_tree_doc(_stump()), "root": []}, "$.root must be dict, got list"),
+        # -1 is the leaf mark of the level arrays; once it split on the last feature
+        (_tree_doc(_stump(feature=-1)), "$.root.feature must be an integer in [0, 3), got -1"),
+        (_tree_doc(_stump(feature=3)), "$.root.feature must be an integer in [0, 3), got 3"),
+        (_tree_doc(_stump(feature=1.0)), "$.root.feature must be int, got float"),
+        (_tree_doc(_stump(feature=True)), "$.root.feature must be an integer in [0, 3), got True"),
+        (_tree_doc({"feature": 0, "absent": {"leaf": "0.5"}}), "missing $.root.present"),
+        (_tree_doc({"feature": 0, "absent": {}, "present": {"leaf": "0.5"}}),
+         "missing $.root.absent.feature"),
+        (_tree_doc(_stump(absent=0.1)), "$.root.absent.leaf must be str, got float"),
+        *[(_tree_doc(_stump(present=leaf)), f"$.root.present.leaf must be a number in [0, 1], "
+           f"got {leaf!r}") for leaf in ("1.5", "-0.1", "nan", "x")],
+        (_tree_doc({"feature": 0, "absent": {"leaf": "0.5"}, "present": _stump(feature=9)}),
+         "$.root.present.feature must be an integer in [0, 3), got 9"),
+        ({k: v for k, v in _forest_doc(_stump()).items() if k != "trees"}, "missing $.trees"),
+        (_forest_doc(), "$.trees must be a non-empty list, got []"),
+        (_forest_doc(_stump(), 3), "$.trees[1] must be dict, got int"),
+        (_forest_doc(_stump(), {"feature": 0, "absent": {"leaf": "0.5"}, "present": _stump(-1)}),
+         "$.trees[1].present.feature must be an integer in [0, 3), got -1"),
+        (_linear_doc("0.5"), "$.weights must be list, got str"),
+        (_linear_doc(["0.5", "x"]), "$.weights[1] must be a number in [-inf, inf], got 'x'"),
+        (_linear_doc(["nan"]), "$.weights[0] must be a number in [-inf, inf], got 'nan'"),
+        (_linear_doc([0.5]), "$.weights[0] must be str, got float"),
+        ({k: v for k, v in _linear_doc(["0.5"]).items() if k != "bias"}, "missing $.bias"),
+        (_linear_doc(["0.5"], bias=0.5), "$.bias must be str, got float"),
+    ])
+    def test_malformed_document_names_its_path(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            deserialize(json.dumps(doc))
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"model JSON: {message}")
 
 
 class TestCommonSurface:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import pudroid
-from pudroid.cli import _spec_from_args, build_parser, run
+from pudroid.cli import UsageError, _spec_from_args, build_parser, run
 from pudroid.datasets import load_dataset, save_dataset
-from pudroid.synthetic import SyntheticSpec, generate_synthetic
+from pudroid.synthetic import SpecError, SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture()
@@ -266,6 +267,12 @@ class TestExitCodes:
         (["clean", "--lr", "inf"], "--lr"),
         (["clean", "--l2", "-1"], "--l2"),
         (["experiment", "--protocol", "rq2", "--n-trees", "0"], "--n-trees"),
+        (["clean", "--features-per-split", "0"], "--features-per-split"),
+        (["clean", "--features-per-split", "abc"], "--features-per-split"),
+        (["clean", "--features-per-split", "1.5"], "--features-per-split"),
+        (["experiment", "--protocol", "rq2", "--features-per-split", "-2"], "--features-per-split"),
+        (["experiment", "--protocol", "rq1", "--n-positive", "0"], "--n-positive"),
+        (["experiment", "--protocol", "rq1", "--flip-noise", "0.7"], "--flip-noise"),
     ])
     def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "o.json"
@@ -277,6 +284,15 @@ class TestExitCodes:
         assert repr(argv[-1].split(",")[-1]) in err  # names the bad entry of a list
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_features_per_split_parses_like_the_integer_flags(self):
+        clean = ["clean", "--dataset", "d", "--out", "o"]
+        args = build_parser().parse_args([*clean, "--features-per-split", " 3", "--n-trees", " 3"])
+        assert args.features_per_split == args.n_trees == 3
+        assert build_parser().parse_args(clean).features_per_split == "sqrt"
+        err = "argument --features-per-split: features_per_split must be 'sqrt' or an integer >= 1"
+        with pytest.raises(UsageError, match=re.escape(f"{err}, got ' 0'")):
+            build_parser().parse_args([*clean, "--features-per-split", " 0"])
 
     def test_clean_reads_no_manifest(self, corpus, tmp_path, capsys):
         manifest, ipmap = corpus
@@ -490,6 +506,8 @@ class TestGeneratorSpec:
         ("flip_noise=high\n", "line 1: flip_noise must be float, got 'high'"),
         ("family_exclusive=maybe\n", "line 1: family_exclusive must be bool, got 'maybe'"),
         ("n_positive\n", "line 1: expected key=value"),
+        ("n_positive=0\n", "line 1: n_positive must be in [1, inf), got '0'"),
+        ("# c\nflip_noise=0.7\n", "line 2: flip_noise must be in [0, 0.5), got '0.7'"),
     ])
     def test_bad_spec_file_is_data_error(self, tmp_path, capsys, text, message):
         spec_file = tmp_path / "spec.txt"
@@ -503,3 +521,26 @@ class TestGeneratorSpec:
         assert f"{spec_file}: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, bad", [
+        ("n_positive", "0"), ("n_negative", "-3"), ("dimension", "-1"), ("signal_features", "-1"),
+        ("flip_noise", "0.5"), ("flip_noise", "nan"), ("flip_noise", "-0.1"),
+        ("label_frequency_c", "0"), ("label_frequency_c", "1.5"), ("n_families", "0"),
+    ])
+    def test_out_of_range_input_names_its_source(self, tmp_path, capsys, name, bad):
+        # one declared range, checked at the flag (exit 1), at the spec-file key
+        # (exit 2, naming file and line) and by SyntheticSpec itself
+        f = self.FIELDS[name]
+        rule = f"{name} must be in {f.metadata['range']}, got {bad!r}"
+        flag, out = "--" + name.replace("_", "-"), tmp_path / "o.json"
+        assert run(["experiment", "--protocol", "rq1", flag, bad, "--out", str(out)]) == 1
+        assert f"argument {flag}: {rule}" in capsys.readouterr().err
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(f"# generator\n{name}={bad}\n")
+        argv = ["experiment", "--protocol", "rq1", "--spec-file", str(spec_file), "--out", str(out)]
+        assert run(argv) == 2
+        assert f"{spec_file}: line 2: {rule}" in capsys.readouterr().err
+        assert not out.exists()
+        value = {"int": int, "float": float}[f.type](bad)
+        with pytest.raises(SpecError, match=f"{name} must be in"):
+            SyntheticSpec(**{name: value})

@@ -37,7 +37,7 @@ class StubModel(ProbabilisticClassifier):
 
     def score_matrix(self, X):
         X = self._check_dim(X)
-        return np.where(X.XT[0], self.on_score, self.off_score)
+        return np.where(X.bool_rows[:, 0], self.on_score, self.off_score)
 
 
 class TestArrays:
@@ -45,7 +45,7 @@ class TestArrays:
         ds = dataset_from_rows([(0,)], [(1,), ()], 2)
         X, z = training_arrays(ds)
         assert X.shape == (3, 2)
-        assert np.array_equal(X.XT.T, dense_matrix(ds.samples, 2))
+        assert np.array_equal(X.bool_rows, dense_matrix(ds.samples, 2))
         assert z.tolist() == [1, 0, 0]
 
     def test_dense_matrix_is_float(self):
