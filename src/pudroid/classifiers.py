@@ -501,7 +501,10 @@ def _tree_from_dict(root: dict, d: int, path: str) -> TreeModel:
 def deserialize(text: str) -> ProbabilisticClassifier:
     """The model serialize() wrote; a malformed document raises a ValueError
     naming its JSON path ($ is the document root)."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the parser recurses once per nesting level, before any check
+        raise ValueError("model JSON: $ is nested too deeply to parse") from None
     _require(isinstance(data, dict), "model JSON: $", "an object", type(data).__name__)
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {data.get('version')!r}")

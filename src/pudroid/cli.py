@@ -28,7 +28,7 @@ from .selection import (
     project_dataset,
     select_features,
 )
-from .synthetic import SyntheticSpec, generate_synthetic, within
+from .synthetic import SpecError, SyntheticSpec, generate_synthetic, within
 
 
 class UsageError(Exception):
@@ -160,8 +160,14 @@ def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
                 raise ValueError(f"{where}: {key} must be {kind}, got {value!r}") from None
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-    values.update((k, getattr(args, k)) for k in _SPEC_FIELDS if getattr(args, k) is not None)
-    return SyntheticSpec(**values, seed=args.seed)
+    flags = {k: getattr(args, k) for k in _SPEC_FIELDS if getattr(args, k) is not None}
+    try:
+        return SyntheticSpec(**{**values, **flags}, seed=args.seed)
+    except SpecError as exc:  # a check across fields: each range is its flag's and key's own
+        given = "/".join("--" + name.replace("_", "-") for name in exc.fields if name in flags)
+        if given:
+            raise UsageError(f"argument {given}: {exc}") from None
+        raise ValueError(f"{args.spec_file}: {exc}") from None
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:

@@ -50,9 +50,10 @@ class FeatureSpace:
         return cls(tuple((name, KIND_OF[kind]) for kind, name in sorted(set(keys))))
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.features]
-        if len(set(names)) != len(names):
-            raise DatasetError("feature names must be unique within a space")
+        index = self.index_of()  # the key ingest and the dataset JSON use
+        if len(index) != self.dimension:
+            n, k = next(f for i, f in enumerate(self.features) if index[f[1].value, f[0]] != i)
+            raise DatasetError(f"feature {n!r} of kind {k.value!r} occurs twice")
 
     @property
     def dimension(self) -> int:

@@ -1,10 +1,10 @@
 """Contamination experiment protocols over synthetic data with known truth.
 
 Each protocol holds out one third of each true class as a fixed test set,
-builds a contaminated training dataset, then compares the cleaned-and-
-retrained detector (PU) against the same learner trained directly on the
-contaminated labels (NPU). Contamination never touches the test set, and
-every protocol is a pure function of (data, config, seed).
+builds a contaminated training dataset, then compares the detector trained on
+its cleaned set (PU) against the same learner trained directly on the
+contaminated labels (NPU), both fit by `_run_pair`. Contamination never
+touches the test set, and every protocol is a pure function of (data, config, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .classifiers import Learner, TrainConfig, train
 from .features import BinaryMatrix, PUDataset
-# not called here: perfbench/tracing.py wraps this name until ROADMAP item 5
+# not called here: perfbench/tracing.py wraps this name until ROADMAP item 1
 from .features import dense_matrix  # noqa: F401
 from .metrics import Metrics, compute_metrics
 from .pu import clean_and_retrain, training_arrays
@@ -81,20 +81,23 @@ def _evaluate(scores: np.ndarray, truth: Sequence[int]) -> Metrics:
 
 
 def _run_pair(
+    condition: str,
     ds: PUDataset,
     cfg: TrainConfig,
     X_test: BinaryMatrix,
     y_test: Sequence[int],
     split_fraction: float,
     seed: int,
-) -> tuple[Metrics, Metrics]:
-    """(PU metrics, NPU metrics) on the shared test set."""
+    swapped: bool = False,
+) -> ReportRow:
+    """The condition's PU and NPU metrics on the shared test set. With swapped,
+    ds's P is benign: the PU scores are flipped, and the NPU detector learns 1 - z."""
     result = clean_and_retrain(ds, cfg, split_fraction=split_fraction, seed=seed)
-    pu_metrics = _evaluate(result.final_model.score_matrix(X_test), y_test)
+    pu_scores = train(*training_arrays(result.cleaned), cfg).score_matrix(X_test)
     X, z = training_arrays(ds)
-    npu_model = train(X, z, cfg)
-    npu_metrics = _evaluate(npu_model.score_matrix(X_test), y_test)
-    return pu_metrics, npu_metrics
+    npu_scores = train(X, 1 - z if swapped else z, cfg).score_matrix(X_test)
+    pu = _evaluate(1.0 - pu_scores if swapped else pu_scores, y_test)
+    return ReportRow(condition, pu, _evaluate(npu_scores, y_test))
 
 
 def protocol_rq1(
@@ -115,10 +118,8 @@ def protocol_rq1(
     rows = []
     for n in range(iterations + 1):
         ds = _move_positives(base, pos_tr, neg_tr, step * n, _rng(seed, 1, n))
-        pu_m, npu_m = _run_pair(
-            ds, cfg, X_test, y_test, split_fraction, _child_seed(seed, 2, n)
-        )
-        rows.append(ReportRow(f"N={n}", pu_m, npu_m))
+        seed_n = _child_seed(seed, 2, n)
+        rows.append(_run_pair(f"N={n}", ds, cfg, X_test, y_test, split_fraction, seed_n))
 
     config = {"step": step, "iterations": iterations, "train": cfg.to_dict()}
     return ExperimentReport("RQ1", tuple(rows), config, seed)
@@ -144,11 +145,10 @@ def protocol_rq2(
             raise ProtocolError(f"ratio {ratio} leaves no positives in P")
         ds = _move_positives(base, pos_tr, neg_tr, k, _rng(seed, 1, ci))
         for learner in learners:
-            cfg_l = replace(cfg, learner=learner)
-            pu_m, npu_m = _run_pair(
-                ds, cfg_l, X_test, y_test, split_fraction, _child_seed(seed, 2, ci)
-            )
-            rows.append(ReportRow(f"{ratio:g}:1/{learner.value}", pu_m, npu_m))
+            rows.append(_run_pair(
+                f"{ratio:g}:1/{learner.value}", ds, replace(cfg, learner=learner),
+                X_test, y_test, split_fraction, _child_seed(seed, 2, ci),
+            ))
 
     config = {
         "ratios": [float(r) for r in ratios],
@@ -191,10 +191,9 @@ def protocol_rq3(
         contaminants = fam_pos[np.sort(rng.permutation(len(fam_pos))[:n_mix])]
         benign = neg_tr[np.sort(rng.permutation(len(neg_tr))[:n_mix])]
         ds = _dataset(base, other_pos, np.concatenate([benign, contaminants]))
-        pu_m, npu_m = _run_pair(
-            ds, cfg_lin, X_test, y_test, split_fraction, _child_seed(seed, 2, fam)
-        )
-        rows.append(ReportRow(f"family-{fam}", pu_m, npu_m))
+        rows.append(_run_pair(
+            f"family-{fam}", ds, cfg_lin, X_test, y_test, split_fraction, _child_seed(seed, 2, fam)
+        ))
 
     config = {
         "holdout_family": holdout_family,
@@ -248,19 +247,12 @@ def protocol_rq4(
         replace(corrupted, hidden=1 - corrupted.hidden),
     )
 
-    X, z = training_arrays(swapped_ds)
-
     rows = []
     for learner in learners:
-        cfg_l = replace(cfg, learner=learner)
-        result = clean_and_retrain(
-            swapped_ds, cfg_l, split_fraction=split_fraction, seed=_child_seed(seed, 2)
-        )
-        benign_scores = result.final_model.score_matrix(X_test)
-        pu_m = _evaluate(1.0 - benign_scores, y_test)
-        npu_model = train(X, 1 - z, cfg_l)  # NPU sees the corrupted original labels
-        npu_m = _evaluate(npu_model.score_matrix(X_test), y_test)
-        rows.append(ReportRow(f"{ratio:g}:1/{learner.value}", pu_m, npu_m))
+        rows.append(_run_pair(
+            f"{ratio:g}:1/{learner.value}", swapped_ds, replace(cfg, learner=learner),
+            X_test, y_test, split_fraction, _child_seed(seed, 2), swapped=True,
+        ))
 
     config = {
         "ratio": float(ratio),

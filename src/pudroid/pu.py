@@ -7,9 +7,9 @@ The classifier f of z given x is trained on group labels only. The label
 frequency e = p(z=1 | y=1) is estimated as the mean of f over the positive
 rows P' of a held-out validation split, and the adjusted score
 g(x) = f(x) / e recovers the true posterior under the discovered-at-random
-assumption. Unlabeled samples with g > 0.5 are flagged as contaminants, then
-the final detector is retrained on the corrected labels. Ground-truth hidden
-labels are never read by any step here.
+assumption. Unlabeled samples with g > 0.5 are flagged as contaminants and
+relabeled into P (or discarded): the result is the cleaned dataset, on which
+a caller trains its detector. Hidden ground truth is never read here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifiers import ProbabilisticClassifier, TrainConfig, TrainingError, train
 from .features import BinaryMatrix, PUDataset
-# not called here: perfbench/tracing.py wraps this name until ROADMAP item 5
+# not called here: perfbench/tracing.py wraps this name until ROADMAP item 1
 from .features import dense_matrix  # noqa: F401
 
 E_EPSILON = 1e-6
@@ -116,7 +116,6 @@ class CleanDiagnostics:
 class CleanResult:
     contaminant_ids: tuple[str, ...]
     cleaned: PUDataset
-    final_model: ProbabilisticClassifier
     diagnostics: CleanDiagnostics
 
 
@@ -129,12 +128,13 @@ def clean_and_retrain(
     rescale_trigger: float = 0.7,
     rescale_target: float = 1.0,
 ) -> CleanResult:
-    """Full pipeline: train f, estimate e, rescale, detect, relabel, retrain.
+    """Full pipeline: train f, estimate e, rescale, detect, relabel.
 
     Detected contaminants are moved from U into P by default (their hidden
     field, if any, is dropped: the pipeline treats its own verdict as the new
     label and carries no ground-truth claim). With discard=True they are
-    removed instead.
+    removed instead; a cleaned set of one class is an error. The caller fits
+    the detector; the name keeps "retrain" until ROADMAP item 1.
     """
     X, z = training_arrays(ds)
     train_rows, p_rows = split_validation(z, split_fraction, seed)
@@ -151,22 +151,14 @@ def clean_and_retrain(
     u = ds.unlabeled
     contaminants = detect_contaminants(pu, X[np.arange(len(ds.positives), len(z))], u.ids)
     is_flagged = np.isin(u.ids, contaminants)
+    if is_flagged.all():  # P is non-empty, so only an all-flagged U leaves one class
+        raise TrainingError(f"retrain: all {len(contaminants)} unlabeled samples were flagged; "
+                            "the cleaned set has one class")
 
     moved = u.take(np.flatnonzero(is_flagged))
     p = ds.positives if discard else ds.positives + replace(moved, hidden=np.full(len(moved), -1))
-    cleaned = PUDataset(ds.space, p, u.take(np.flatnonzero(~is_flagged)))
-
-    Xc, yc = training_arrays(cleaned)
-    try:
-        final_model = train(Xc, yc, cfg)
-    except TrainingError as exc:  # P is non-empty, so only an all-flagged U leaves one class
-        raise TrainingError(
-            f"retrain: all {len(contaminants)} unlabeled samples were flagged; "
-            f"the cleaned set has one class"
-        ) from exc
     return CleanResult(
         contaminant_ids=tuple(contaminants),
-        cleaned=cleaned,
-        final_model=final_model,
+        cleaned=PUDataset(ds.space, p, u.take(np.flatnonzero(~is_flagged))),
         diagnostics=CleanDiagnostics(e=e, rescale=pu.rescale, mean_g_over_pm=mu),
     )

@@ -28,7 +28,9 @@ BACKGROUND_RATE = 0.05
 
 
 class SpecError(ValueError):
-    pass
+    def __init__(self, message: str, fields: tuple[str, ...] = ()):  # of a check across fields
+        super().__init__(message)
+        self.fields = fields
 
 
 def within(value, interval: str) -> bool:
@@ -59,9 +61,10 @@ class SyntheticSpec:
             if interval and not within(value, interval):
                 raise SpecError(f"{f.name} must be in {interval}, got {value!r}")
         if self.n_families > self.n_positive:
-            raise SpecError("n_families must be at most n_positive")
+            raise SpecError("n_families must be at most n_positive", ("n_families", "n_positive"))
         if self.signal_features * self.n_families > self.dimension:
-            raise SpecError("family signal blocks do not fit in the dimension")
+            raise SpecError("signal_features x n_families must be at most dimension",
+                            ("signal_features", "n_families", "dimension"))
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,15 @@ class TestForest:
         expected = np.mean([t.score_matrix(X) for t in model.trees], axis=0)
         assert np.allclose(model.score_matrix(X), expected)
 
+    def test_without_bootstrap_every_tree_grows_on_all_rows(self):
+        rng = np.random.default_rng(6)
+        X, y = _xor_free_problem(rng)
+        model = ForestModel.fit(X, y, ForestParams(n_trees=5, bootstrap=False), TreeParams(), 0)
+        # a root holds the Laplace probability of its rows: here all n, in every tree
+        assert [t.levels[0][1][0] for t in model.trees] == [(y.sum() + 1) / (len(y) + 2)] * 5
+        bagged = ForestModel.fit(X, y, ForestParams(n_trees=5), TreeParams(), 0)
+        assert len({t.levels[0][1][0] for t in bagged.trees}) > 1
+
     def test_features_per_split_exceeding_dimension_is_an_error(self):
         rng = np.random.default_rng(6)
         X, y = _xor_free_problem(rng, d=4)
@@ -555,6 +564,15 @@ class TestModelJson:
             deserialize(json.dumps(doc))
         assert type(info.value) is ValueError
         assert str(info.value).startswith(f"model JSON: {message}")
+
+    def test_deeply_nested_document_is_a_value_error(self):
+        # a 1500-level chain, built as a string: json.dumps recurses once per level too
+        head = '{"version": "pudroid-model/1", "type": "tree", "dimension": 1, "root": '
+        chain = '{"feature": 0, "absent": {"leaf": "0.5"}, "present": ' * 1500
+        with pytest.raises(ValueError) as info:
+            deserialize(head + chain + '{"leaf": "0.5"}' + "}" * 1501)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "model JSON: $ is nested too deeply to parse"
 
 
 class TestCommonSurface:

@@ -433,6 +433,13 @@ class TestPipeline:
         assert isinstance(payload["contaminant_ids"], list)
         load_dataset(cleaned)
 
+    def test_clean_without_bootstrap(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "clean.json"
+        code = run(["clean", "--dataset", str(dataset_file), "--n-trees", "3", "--no-bootstrap",
+                    "--seed", "3", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["train"]["forest"]["bootstrap"] is False
+
     def test_experiment_report(self, tmp_path, capsys):
         out = tmp_path / "rq1.json"
         code = run([
@@ -508,6 +515,8 @@ class TestGeneratorSpec:
         ("n_positive\n", "line 1: expected key=value"),
         ("n_positive=0\n", "line 1: n_positive must be in [1, inf), got '0'"),
         ("# c\nflip_noise=0.7\n", "line 2: flip_noise must be in [0, 0.5), got '0.7'"),
+        ("n_families=5\nn_positive=3\n", "n_families must be at most n_positive"),
+        ("dimension=30\n", "signal_features x n_families must be at most dimension"),
     ])
     def test_bad_spec_file_is_data_error(self, tmp_path, capsys, text, message):
         spec_file = tmp_path / "spec.txt"
@@ -544,3 +553,23 @@ class TestGeneratorSpec:
         value = {"int": int, "float": float}[f.type](bad)
         with pytest.raises(SpecError, match=f"{name} must be in"):
             SyntheticSpec(**{name: value})
+
+    @pytest.mark.parametrize("keys, flags, named", [
+        ("", ["--n-families", "5", "--n-positive", "3"], "--n-families/--n-positive"),
+        ("n_positive=3\n", ["--n-families", "5"], "--n-families"),
+        ("", ["--dimension", "30"], "--dimension"),
+        ("dimension=30\n", ["--signal-features", "4", "--n-families", "8"],
+         "--signal-features/--n-families"),
+    ])
+    def test_cross_field_check_names_the_flags_given(self, tmp_path, capsys, keys, flags, named):
+        # an unrelated flag beside spec-file keys that fail the check leaves it a data error
+        spec_file, out = tmp_path / "spec.txt", tmp_path / "o.json"
+        spec_file.write_text(keys)
+        argv = ["experiment", "--protocol", "rq1", "--spec-file", str(spec_file), "--out", str(out)]
+        assert run([*argv, *flags]) == 1
+        assert f"error: argument {named}: " in capsys.readouterr().err
+        pairs = zip(flags[::2], flags[1::2])
+        spec_file.write_text(keys + "".join(f"{f[2:].replace('-', '_')}={v}\n" for f, v in pairs))
+        assert run([*argv, "--n-negative", "7"]) == 2
+        assert f"error: {spec_file}: " in capsys.readouterr().err
+        assert not out.exists()

@@ -39,9 +39,14 @@ class TestFeatureSpace:
         space = FeatureSpace.build([("api", "a"), ("api", "a"), ("api", "b")])
         assert space.dimension == 2
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(DatasetError):
-            FeatureSpace.build([("api", "a"), ("permission", "a")])
+    def test_name_in_two_kinds_is_two_features(self):
+        space = FeatureSpace.build([("api", "a"), ("permission", "a")])
+        assert space.index_of() == {("api", "a"): 0, ("permission", "a"): 1}
+
+    def test_repeated_feature_rejected(self):
+        features = (("a", FeatureKind.API), ("a", FeatureKind.PERMISSION), ("a", FeatureKind.API))
+        with pytest.raises(DatasetError, match="feature 'a' of kind 'api' occurs twice"):
+            FeatureSpace(features)
 
     def test_index_of_is_inverse_of_order(self):
         space = space_of(5)

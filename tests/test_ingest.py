@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import row_lists
-from pudroid.datasets import dataset_to_dict
+from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
 from pudroid.features import DatasetError, FeatureKind
 from pudroid.ingest import (
     KIND_TAGS,
@@ -301,6 +301,17 @@ class TestBuildDataset:
         assert ds.positives.ids == ("mal-1",)
         assert row_lists(ds.positives) == [[0, 1, 3]]
         assert row_lists(ds.unlabeled) == [[2]]  # unresolvable url dropped
+
+    def test_same_name_in_two_kinds(self, tmp_path):
+        (tmp_path / "a.txt").write_text("permission::foo\n")
+        (tmp_path / "b.txt").write_text("api::foo\npermission::foo\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("app_id,path,group\napp-a,a.txt,positive\napp-b,b.txt,unlabeled\n")
+        ds = build_dataset(load_manifest(manifest), {}, tmp_path)
+        assert ds.space.features == (("foo", FeatureKind.API), ("foo", FeatureKind.PERMISSION))
+        assert row_lists(ds.positives) == [[1]] and row_lists(ds.unlabeled) == [[0, 1]]
+        save_dataset(ds, tmp_path / "ds.json")
+        assert dataset_to_dict(load_dataset(tmp_path / "ds.json")) == dataset_to_dict(ds)
 
     def test_deterministic(self, tmp_path):
         manifest, resolver = _write_corpus(tmp_path)

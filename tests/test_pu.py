@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_from_rows, random_dataset
+from pudroid import pu
 from pudroid.classifiers import (
     Learner,
     LinearParams,
     ProbabilisticClassifier,
     TrainConfig,
+    TrainingError,
     TreeParams,
+    train,
 )
 from pudroid.datasets import dataset_to_dict
 from pudroid.pu import (
@@ -191,8 +194,32 @@ class TestCleanAndRetrain:
         a = clean_and_retrain(contaminated.dataset, cfg, seed=3)
         b = clean_and_retrain(contaminated.dataset, cfg, seed=3)
         assert a.contaminant_ids == b.contaminant_ids
-        assert a.final_model.serialize() == b.final_model.serialize()
+        assert dataset_to_dict(a.cleaned) == dataset_to_dict(b.cleaned)
+        detector_a, detector_b = (train(*training_arrays(r.cleaned), cfg) for r in (a, b))
+        assert detector_a.serialize() == detector_b.serialize()
         assert a.diagnostics == b.diagnostics
+
+    def test_fits_only_the_discovery_classifier(self, contaminated, cfg, monkeypatch):
+        fits = []
+
+        def counted(X, y, c):
+            fits.append(len(y))
+            return train(X, y, c)
+
+        monkeypatch.setattr(pu, "train", counted)
+        result = clean_and_retrain(contaminated.dataset, cfg, seed=2)
+        assert result.contaminant_ids
+        n = len(contaminated.dataset.samples)
+        assert fits == [n - round(0.2 * n)]  # f, on the rows outside V
+
+    @pytest.mark.parametrize("discard", [False, True])
+    def test_all_flagged_is_a_one_class_error(self, contaminated, cfg, monkeypatch, discard):
+        # f = 0.9 everywhere: e = 0.9 and g = 1 flags every unlabeled sample
+        monkeypatch.setattr(pu, "train", lambda X, y, c: StubModel(X.shape[1], 0.9, 0.9))
+        n_u = len(contaminated.dataset.unlabeled)
+        message = f"retrain: all {n_u} unlabeled samples were flagged; the cleaned set has one"
+        with pytest.raises(TrainingError, match=message):
+            clean_and_retrain(contaminated.dataset, cfg, seed=2, discard=discard)
 
     def test_diagnostics_ranges(self, contaminated, cfg):
         result = clean_and_retrain(contaminated.dataset, cfg, seed=2)
