@@ -12,8 +12,8 @@ LightGBM (Ke et al., NeurIPS 2017): all nodes of a depth are split by one set
 of array operations over (distinct row, bootstrap count) pairs, with integer
 split counts, so a single tree is the one a node-by-node grower builds, bit
 for bit. The per-depth arrays the grower builds are the tree model itself:
-scoring, the nested model JSON and reading it back all run depth by depth,
-with no node objects and no recursion.
+scoring and the nested model JSON both run depth by depth, with no node
+objects and no recursion. Models are written (serialize), never read back.
 
 Training is fully determined by (data, config, seed); each forest tree draws
 its RNG stream from (seed, tree_index) so tree-level parallelism could never
@@ -25,7 +25,6 @@ seed; no level-wise order can replay a pre-order stream.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -35,7 +34,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .datasets import json_at
 from .features import BinaryMatrix, DimensionError
 
 FORMAT_VERSION = "pudroid-model/1"
@@ -436,7 +434,7 @@ class ForestModel(ProbabilisticClassifier):
                 raise TrainingError("features_per_split exceeds the dimension")
         trees: list[TreeModel] = []
         for t in range(params.n_trees):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+            rng = np.random.default_rng([seed, t])
             rows, weight = np.arange(n), np.ones(n, dtype=np.int64)
             if params.bootstrap:
                 idx = rng.integers(0, n, size=n)
@@ -460,66 +458,3 @@ def train(X: Matrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier
     if cfg.learner is Learner.TREE:
         return TreeModel.fit(X, y, cfg.tree)
     return ForestModel.fit(X, y, cfg.forest, cfg.tree, cfg.seed)
-
-
-_at = functools.partial(json_at, doc="model JSON")
-
-
-def _float(text: str, path: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """float(text), or a ValueError naming its JSON path unless it is in [low, high]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    _require(low <= value <= high, f"model JSON: {path}", f"a number in [{low:g}, {high:g}]", text)
-    return value
-
-
-def _tree_from_dict(root: dict, d: int, path: str) -> TreeModel:
-    """A tree's levels, read breadth-first from its nested JSON. The format
-    holds leaf probabilities only, so an internal node's reads NaN."""
-    levels: Levels = []
-    nodes = [(root, path)]
-    while nodes:
-        feature, prob, below = [], [], []
-        for node, at in nodes:
-            if "leaf" in node:
-                feature.append(-1)
-                prob.append(_float(_at(node, "leaf", str, at), f"{at}.leaf", 0.0, 1.0))
-                continue
-            f = _at(node, "feature", int, at)  # a bool passes as an int, but fails below
-            _require(type(f) is int and 0 <= f < d, f"model JSON: {at}.feature",
-                     f"an integer in [0, {d})", f)
-            feature.append(f)
-            prob.append(math.nan)
-            below += [(_at(node, side, dict, at), f"{at}.{side}") for side in ("absent", "present")]
-        levels.append((np.array(feature, dtype=np.int64), np.array(prob)))
-        nodes = below
-    return TreeModel(levels, d)
-
-
-def deserialize(text: str) -> ProbabilisticClassifier:
-    """The model serialize() wrote; a malformed document raises a ValueError
-    naming its JSON path ($ is the document root)."""
-    try:
-        data = json.loads(text)
-    except RecursionError:  # the parser recurses once per nesting level, before any check
-        raise ValueError("model JSON: $ is nested too deeply to parse") from None
-    _require(isinstance(data, dict), "model JSON: $", "an object", type(data).__name__)
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {data.get('version')!r}")
-    kind = _at(data, "type", str, "$")
-    kinds = [learner.value for learner in Learner]
-    _require(kind in kinds, "model JSON: $.type", f"one of {kinds}", kind)
-    if kind == "linear":
-        w = _at(data, "weights", list, "$")
-        w = [_float(_at(w, i, str, "$.weights"), f"$.weights[{i}]") for i in range(len(w))]
-        return LinearModel(np.array(w), _float(_at(data, "bias", str, "$"), "$.bias"))
-    d = _at(data, "dimension", int, "$")
-    _require(type(d) is int and d >= 0, "model JSON: $.dimension", "an integer >= 0", d)
-    if kind == "tree":
-        return _tree_from_dict(_at(data, "root", dict, "$"), d, "$.root")
-    trees = _at(data, "trees", list, "$")
-    _require(len(trees) > 0, "model JSON: $.trees", "a non-empty list", trees)
-    at = [(_at(trees, i, dict, "$.trees"), f"$.trees[{i}]") for i in range(len(trees))]
-    return ForestModel([_tree_from_dict(tree, d, path) for tree, path in at], d)

@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p_sel.add_argument("--tm-override", type=_in("[1, inf)", int), default=None)
     p_sel.add_argument("--tb-override", type=_in("[1, inf)", int), default=None)
     p_sel.add_argument("--out", required=True)
-    p_sel.add_argument("--features-out", default=None, help="retained feature names, one per line")
+    p_sel.add_argument("--features-out", default=None, help="retained features as kind::name lines")
 
     p_clean = sub.add_parser("clean", help="detect and relabel contaminants")
     p_clean.add_argument("--dataset", required=True)
@@ -248,8 +248,8 @@ def _cmd_select(args: argparse.Namespace) -> None:
     projected = project_dataset(ds, retained)
     save_dataset(projected, args.out)
     if args.features_out:
-        names = [projected.space.features[i][0] for i in range(projected.space.dimension)]
-        Path(args.features_out).write_text("\n".join(names) + "\n", encoding="utf-8")
+        lines = [f"{kind.value}::{name}" for name, kind in projected.space.features]
+        Path(args.features_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(
         f"retained {len(retained)}/{ds.space.dimension} features (tm={th.tm}, tb={th.tb})",
         file=sys.stderr,

@@ -32,10 +32,9 @@ def dataset_to_dict(ds: PUDataset) -> dict:
     }
 
 
-def json_at(container, key, kind: type, path: str, doc: str = "dataset JSON"):
-    """container[key] if it exists and is a `kind`; else a ValueError naming the
-    document and its JSON path (`path` is the container's; the key's is built
-    only on error)."""
+def _at(container, key, kind: type, path: str):
+    """container[key] if it exists and is a `kind`; else a ValueError naming its
+    JSON path (`path` is the container's; the key's is built only on error)."""
     try:
         value = container[key]
     except (KeyError, IndexError):
@@ -43,8 +42,8 @@ def json_at(container, key, kind: type, path: str, doc: str = "dataset JSON"):
     if not isinstance(value, kind):
         path += f".{key}" if isinstance(key, str) else f"[{key}]"
         if value is _MISSING:
-            raise ValueError(f"{doc}: missing {path}")
-        raise ValueError(f"{doc}: {path} must be {kind.__name__}, got {type(value).__name__}")
+            raise ValueError(f"dataset JSON: missing {path}")
+        raise ValueError(f"dataset JSON: {path} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -56,28 +55,28 @@ def dataset_from_dict(data: dict) -> PUDataset:
         raise ValueError(f"unsupported dataset schema: {schema!r}")
 
     def feature(pairs: list, i: int) -> tuple[str, FeatureKind]:
-        pair, path = json_at(pairs, i, list, "$.features"), f"$.features[{i}]"
-        kind = json_at(pair, 1, str, path)
+        pair, path = _at(pairs, i, list, "$.features"), f"$.features[{i}]"
+        kind = _at(pair, 1, str, path)
         if kind not in KIND_OF:
             raise ValueError(f"dataset JSON: {path}[1] must be one of {sorted(KIND_OF)}, got {kind!r}")
-        return json_at(pair, 0, str, path), KIND_OF[kind]
+        return _at(pair, 0, str, path), KIND_OF[kind]
 
     def group(entries: list, path: str) -> SampleRows:
         ids, rows, hidden = [], [], []
         for i in range(len(entries)):
-            entry, at = json_at(entries, i, dict, path), f"{path}[{i}]"
-            on = json_at(entry, "on", list, at)
+            entry, at = _at(entries, i, dict, path), f"{path}[{i}]"
+            on = _at(entry, "on", list, at)
             if not set(map(type, on)) <= {int}:
                 raise ValueError(f"dataset JSON: {at}.on must hold only integers")
             h = entry.get("hidden", -1)
             if "hidden" in entry and not (type(h) is int and h in (0, 1)):
                 raise ValueError(f"dataset JSON: {at}.hidden must be 0 or 1, got {json.dumps(h)}")
-            ids.append(json_at(entry, "id", str, at))
+            ids.append(_at(entry, "id", str, at))
             rows.append(on)
             hidden.append(h)
         return SampleRows.build(ids, rows, hidden)
 
-    pairs, pos, unl = (json_at(data, k, list, "$") for k in ("features", "positives", "unlabeled"))
+    pairs, pos, unl = (_at(data, k, list, "$") for k in ("features", "positives", "unlabeled"))
     return PUDataset(
         FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs)))),
         group(pos, "$.positives"),
@@ -118,4 +117,8 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> PUDataset:
-    return dataset_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:  # the parser recurses once per nesting level, before any check
+        raise ValueError("dataset JSON: $ is nested too deeply to parse") from None
+    return dataset_from_dict(data)

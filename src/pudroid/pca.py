@@ -68,7 +68,7 @@ def top_components(
     ‖cov(v) − λ v‖. Each vector's largest-magnitude entry is positive; where
     fewer than k directions exist, the rest are zero.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0])))
+    rng = np.random.default_rng([0])
     size = min(MAX_BASIS, d)
     V = np.empty((size, d))  # orthonormal basis rows
     W = np.empty((size, d))  # W[i] = cov(V[i])

@@ -28,10 +28,6 @@ class ProtocolError(ValueError):
     pass
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
-
-
 def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
@@ -43,7 +39,7 @@ def split_test(data: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, 
     One third of each true class goes to the test set, chosen by seed.
     """
     hidden = data.dataset.samples.hidden
-    rng = _rng(seed, 0)
+    rng = np.random.default_rng([seed, 0])
 
     def take_third(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chosen = np.sort(rng.permutation(len(group))[: len(group) // 3])
@@ -117,7 +113,7 @@ def protocol_rq1(
 
     rows = []
     for n in range(iterations + 1):
-        ds = _move_positives(base, pos_tr, neg_tr, step * n, _rng(seed, 1, n))
+        ds = _move_positives(base, pos_tr, neg_tr, step * n, np.random.default_rng([seed, 1, n]))
         seed_n = _child_seed(seed, 2, n)
         rows.append(_run_pair(f"N={n}", ds, cfg, X_test, y_test, split_fraction, seed_n))
 
@@ -143,7 +139,7 @@ def protocol_rq2(
         k = int(round(len(pos_tr) * ratio / (1.0 + ratio)))
         if len(pos_tr) - k < 1:
             raise ProtocolError(f"ratio {ratio} leaves no positives in P")
-        ds = _move_positives(base, pos_tr, neg_tr, k, _rng(seed, 1, ci))
+        ds = _move_positives(base, pos_tr, neg_tr, k, np.random.default_rng([seed, 1, ci]))
         for learner in learners:
             rows.append(_run_pair(
                 f"{ratio:g}:1/{learner.value}", ds, replace(cfg, learner=learner),
@@ -187,7 +183,7 @@ def protocol_rq3(
         if not len(fam_pos) or not len(other_pos):
             raise ProtocolError(f"family {fam} leaves an empty training group")
         n_mix = min(len(fam_pos), len(neg_tr))
-        rng = _rng(seed, 1, fam)
+        rng = np.random.default_rng([seed, 1, fam])
         contaminants = fam_pos[np.sort(rng.permutation(len(fam_pos))[:n_mix])]
         benign = neg_tr[np.sort(rng.permutation(len(neg_tr))[:n_mix])]
         ds = _dataset(base, other_pos, np.concatenate([benign, contaminants]))
@@ -234,7 +230,7 @@ def protocol_rq4(
     if m < 1 or k >= len(neg_tr):
         raise ProtocolError(f"ratio {ratio} is infeasible for this dataset")
 
-    rng = _rng(seed, 1)
+    rng = np.random.default_rng([seed, 1])
     malware = pos_tr[np.sort(rng.permutation(len(pos_tr))[:m])]
     mislabeled = np.sort(rng.permutation(len(neg_tr))[:k])
     benign_rest = base.dataset.samples.take(np.delete(neg_tr, mislabeled))

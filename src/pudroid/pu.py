@@ -50,7 +50,7 @@ def split_validation(z: np.ndarray, fraction: float, seed: int) -> tuple[np.ndar
     n_v = int(round(fraction * n))
     if n_v < 1 or n_v >= n:
         raise SplitError(f"fraction {fraction} leaves a degenerate split for n={n}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = np.random.default_rng([seed])
     in_v = np.zeros(n, dtype=bool)
     in_v[rng.permutation(n)[:n_v]] = True
     p_rows = np.flatnonzero(in_v & (z == 1))

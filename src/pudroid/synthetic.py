@@ -99,7 +99,7 @@ def _feature_space(dimension: int) -> FeatureSpace:
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     """Draw a PUDataset with hidden labels from the generative model."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed])))
+    rng = np.random.default_rng([spec.seed])
     pos_rates, neg_rates = _class_rates(spec)
     families = np.arange(spec.n_positive) % spec.n_families
 

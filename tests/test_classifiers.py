@@ -21,7 +21,6 @@ from pudroid.classifiers import (
     TrainingError,
     TreeModel,
     TreeParams,
-    deserialize,
     logistic_loss_and_grad,
     train,
 )
@@ -162,7 +161,7 @@ def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int, 
     k = math.ceil(math.sqrt(d)) if params.features_per_split == "sqrt" else params.features_per_split
     trees, fallbacks = [], 0
     for t in range(params.n_trees):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+        rng = np.random.default_rng([seed, t])
         Xt, yt = X, y
         if params.bootstrap:
             idx = rng.integers(0, n, size=n)
@@ -467,21 +466,23 @@ class TestLevelScorer:
             total = [a + b for a, b in zip(total, _walk(t, Z))]
         expected = [v / forest.n_trees for v in total]
         assert model.score_matrix(Z).tolist() == expected
-        assert deserialize(model.serialize()).score_matrix(Z).tolist() == expected
 
     @settings(deadline=None, max_examples=50)
     @given(_grow_problem())
-    def test_deserialize_reads_the_fitted_levels(self, problem):
+    def test_every_node_holds_the_laplace_probability_of_its_rows(self, problem):
         X, y, tree, _, _ = problem
         model = TreeModel.fit(X, y, tree)
-        clone = deserialize(model.serialize())
-        assert len(clone.levels) == len(model.levels)
-        for (feature, prob), (got_feature, got_prob) in zip(model.levels, clone.levels):
-            assert np.array_equal(got_feature, feature)
-            leaf = feature < 0
-            assert np.array_equal(got_prob[leaf], prob[leaf])
-            assert np.isnan(got_prob[~leaf]).all()  # the format holds leaf values only
-            assert ((prob[~leaf] > 0) & (prob[~leaf] < 1)).all()  # the fit keeps them
+        nodes = [np.arange(len(y))]  # each node's training rows, left to right
+        for feature, prob in model.levels:
+            assert len(feature) == len(nodes)
+            assert ((prob > 0) & (prob < 1)).all()
+            assert prob.tolist() == [(y[rows].sum() + 1) / (len(rows) + 2) for rows in nodes]
+            nodes = [
+                rows[X[rows, f] == side]
+                for rows, f in zip(nodes, feature.tolist()) if f >= 0
+                for side in (0, 1)
+            ]
+        assert nodes == []  # the last depth holds leaves only
 
     def test_chain_deeper_than_the_recursion_limit(self):
         # depth D: node k splits on feature k, its absent child is a leaf of
@@ -501,78 +502,6 @@ class TestLevelScorer:
         assert np.array_equal(ForestModel([model, model], D).score_matrix(X), expected)
         some = np.r_[0:D + 1:97, D]
         assert _walk(model.to_dict()["root"], X.bool_rows[some]) == expected[some].tolist()
-
-
-def _tree_doc(root: dict, dimension: int = 3) -> dict:
-    return {"version": "pudroid-model/1", "type": "tree", "dimension": dimension, "root": root}
-
-
-def _stump(feature=2, absent="0.1", present="0.9") -> dict:
-    return {"feature": feature, "absent": {"leaf": absent}, "present": {"leaf": present}}
-
-
-def _forest_doc(*trees) -> dict:
-    return {"version": "pudroid-model/1", "type": "forest", "dimension": 3, "trees": list(trees)}
-
-
-def _linear_doc(weights, bias="0.5") -> dict:
-    return {"version": "pudroid-model/1", "type": "linear", "weights": weights, "bias": bias}
-
-
-class TestModelJson:
-    def test_hand_written_stump_scores(self):
-        model = deserialize(json.dumps(_tree_doc(_stump())))
-        X = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        assert model.score_matrix(X).tolist() == [0.9, 0.1]
-
-    @pytest.mark.parametrize("doc, message", [
-        ([], "$ must be an object, got 'list'"),
-        ({"version": "pudroid-model/1"}, "missing $.type"),
-        ({**_tree_doc(_stump()), "type": "svm"}, "$.type must be one of"),
-        ({k: v for k, v in _tree_doc(_stump()).items() if k != "dimension"}, "missing $.dimension"),
-        (_tree_doc(_stump(), "3"), "$.dimension must be int, got str"),
-        (_tree_doc(_stump(), -1), "$.dimension must be an integer >= 0, got -1"),
-        (_tree_doc(_stump(), True), "$.dimension must be an integer >= 0, got True"),
-        ({**_tree_doc(_stump()), "root": []}, "$.root must be dict, got list"),
-        # -1 is the leaf mark of the level arrays; once it split on the last feature
-        (_tree_doc(_stump(feature=-1)), "$.root.feature must be an integer in [0, 3), got -1"),
-        (_tree_doc(_stump(feature=3)), "$.root.feature must be an integer in [0, 3), got 3"),
-        (_tree_doc(_stump(feature=1.0)), "$.root.feature must be int, got float"),
-        (_tree_doc(_stump(feature=True)), "$.root.feature must be an integer in [0, 3), got True"),
-        (_tree_doc({"feature": 0, "absent": {"leaf": "0.5"}}), "missing $.root.present"),
-        (_tree_doc({"feature": 0, "absent": {}, "present": {"leaf": "0.5"}}),
-         "missing $.root.absent.feature"),
-        (_tree_doc(_stump(absent=0.1)), "$.root.absent.leaf must be str, got float"),
-        *[(_tree_doc(_stump(present=leaf)), f"$.root.present.leaf must be a number in [0, 1], "
-           f"got {leaf!r}") for leaf in ("1.5", "-0.1", "nan", "x")],
-        (_tree_doc({"feature": 0, "absent": {"leaf": "0.5"}, "present": _stump(feature=9)}),
-         "$.root.present.feature must be an integer in [0, 3), got 9"),
-        ({k: v for k, v in _forest_doc(_stump()).items() if k != "trees"}, "missing $.trees"),
-        (_forest_doc(), "$.trees must be a non-empty list, got []"),
-        (_forest_doc(_stump(), 3), "$.trees[1] must be dict, got int"),
-        (_forest_doc(_stump(), {"feature": 0, "absent": {"leaf": "0.5"}, "present": _stump(-1)}),
-         "$.trees[1].present.feature must be an integer in [0, 3), got -1"),
-        (_linear_doc("0.5"), "$.weights must be list, got str"),
-        (_linear_doc(["0.5", "x"]), "$.weights[1] must be a number in [-inf, inf], got 'x'"),
-        (_linear_doc(["nan"]), "$.weights[0] must be a number in [-inf, inf], got 'nan'"),
-        (_linear_doc([0.5]), "$.weights[0] must be str, got float"),
-        ({k: v for k, v in _linear_doc(["0.5"]).items() if k != "bias"}, "missing $.bias"),
-        (_linear_doc(["0.5"], bias=0.5), "$.bias must be str, got float"),
-    ])
-    def test_malformed_document_names_its_path(self, doc, message):
-        with pytest.raises(ValueError) as info:
-            deserialize(json.dumps(doc))
-        assert type(info.value) is ValueError
-        assert str(info.value).startswith(f"model JSON: {message}")
-
-    def test_deeply_nested_document_is_a_value_error(self):
-        # a 1500-level chain, built as a string: json.dumps recurses once per level too
-        head = '{"version": "pudroid-model/1", "type": "tree", "dimension": 1, "root": '
-        chain = '{"feature": 0, "absent": {"leaf": "0.5"}, "present": ' * 1500
-        with pytest.raises(ValueError) as info:
-            deserialize(head + chain + '{"leaf": "0.5"}' + "}" * 1501)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "model JSON: $ is nested too deeply to parse"
 
 
 class TestCommonSurface:
@@ -607,20 +536,6 @@ class TestCommonSurface:
         model = LinearModel(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):
             model.score_matrix(np.zeros((2, 4)))
-
-    @pytest.mark.parametrize("learner", list(Learner))
-    def test_serialization_round_trip(self, learner):
-        rng = np.random.default_rng(8)
-        X, y = _xor_free_problem(rng)
-        cfg = TrainConfig(learner=learner, forest=ForestParams(n_trees=3))
-        model = train(X, y, cfg)
-        clone = deserialize(model.serialize())
-        assert np.array_equal(model.score_matrix(X), clone.score_matrix(X))
-        assert clone.serialize() == model.serialize()
-
-    def test_deserialize_rejects_unknown_version(self):
-        with pytest.raises(ValueError):
-            deserialize('{"version": "pudroid-model/9", "type": "linear"}')
 
 
 def _ref_linear_descent(X, y, params: LinearParams):

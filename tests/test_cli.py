@@ -118,6 +118,16 @@ class TestExitCodes:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["clean", "select-features", "pca"])
+    def test_deeply_nested_dataset_json_is_data_error(self, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000)  # past the parser's recursion limit
+        code = run([command, "--dataset", str(nested), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "dataset JSON: $ is nested too deeply to parse" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("corrupt, message", [
         pytest.param(lambda d: d["unlabeled"][1]["on"].insert(0, -1), "negative feature index",
                      id="negative"),
@@ -417,6 +427,21 @@ class TestPipeline:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "id,x,y,group"
         assert len(lines) == 4
+
+    def test_features_out_names_each_feature_by_kind(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("permission::foo\napi::foo\n")
+        (tmp_path / "b.txt").write_text("permission::foo\napi::foo\napi::bar\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("app_id,path,group\na,a.txt,positive\nb,b.txt,unlabeled\n")
+        ipmap = tmp_path / "ipmap.tsv"
+        ipmap.write_text("")
+        ds_path, names = tmp_path / "ds.json", tmp_path / "names.txt"
+        assert run(["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap),
+                    "--out", str(ds_path)]) == 0
+        assert run(["select-features", "--dataset", str(ds_path), "--tm-override", "1",
+                    "--tb-override", "1", "--out", str(tmp_path / "sel.json"),
+                    "--features-out", str(names)]) == 0
+        assert names.read_text().splitlines() == ["api::bar", "api::foo", "permission::foo"]
 
     def test_clean_writes_report_and_dataset(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "clean.json"
