@@ -17,13 +17,21 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .features import DatasetError, FeatureSpace, PUDataset, SampleRows
+import numpy as np
+
+from .features import DatasetError, FeatureSpace, PUDataset, SampleRows, offsets
 
 KIND_TAGS = ("permission", "api", "url", "ip")
+# each tag as one string object, so that the keys of many lines share it
+_SHARED_TAG = dict(zip(KIND_TAGS, KIND_TAGS))
 
 
 class ParseError(ValueError):
     """Malformed feature file, manifest or resolver map."""
+
+
+class AddressError(ParseError):
+    """Malformed IPv4 address."""
 
 
 class Group(Enum):
@@ -38,46 +46,55 @@ class ManifestRow:
     group: Group
 
 
-def feature_keys(
-    text: str, resolver: dict[str, str], truncated: dict[str, str]
-) -> set[tuple[str, str]]:
-    """The (kind value, name) keys of one feature file, in one pass.
+def line_key(line: str, resolver: dict[str, str]) -> tuple[str, str] | None:
+    """The (kind value, name) key of one feature-file line, or None when it adds
+    none: a blank or "#" line, or a url with no resolver entry.
 
-    Blank and "#" lines are skipped and duplicates collapse. A url value is
-    looked up in `resolver` and becomes an ip key (or is dropped when it has no
-    entry); an ip value is truncated to its /24 name. `truncated` caches
-    ip -> name across files. A file with several faults reports the first
-    malformed line, else the first malformed IPv4 address, in line order.
+    A url value is looked up in `resolver` and becomes an ip key; an ip value
+    is truncated to its /24 name. A malformed line raises ParseError, a
+    malformed IPv4 address (given or resolved) AddressError.
+    """
+    line = line.strip()
+    if not line or line[0] == "#":
+        return None
+    kind_tag, sep, value = line.partition("::")
+    if not sep:
+        raise ParseError(f"missing '::' separator: {line!r}")
+    tag = kind_tag.strip()
+    kind_tag = _SHARED_TAG.get(tag)
+    if kind_tag is None:
+        raise ParseError(f"unknown kind tag {tag!r}")
+    value = value.strip()
+    if not value:
+        raise ParseError("empty feature value")
+    if kind_tag == "url":
+        value = resolver.get(value)
+        if value is None:
+            return None
+        kind_tag = "ip"
+    if kind_tag == "ip":
+        value = truncate_ip(value)
+    return kind_tag, value
+
+
+def feature_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
+    """The keys of one feature file's lines (see line_key); duplicates collapse.
+
+    A file with several faults reports the first malformed line, else the
+    first malformed IPv4 address, in line order.
     """
     keys: set[tuple[str, str]] = set()
-    bad_ip: ParseError | None = None
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if not line or line[0] == "#":
+    bad_ip: AddressError | None = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            key = line_key(line, resolver)
+        except AddressError as exc:
+            bad_ip = bad_ip or exc
             continue
-        kind_tag, sep, value = line.partition("::")
-        if not sep:
-            raise ParseError(f"line {lineno}: missing '::' separator: {line!r}")
-        kind_tag = kind_tag.strip()
-        value = value.strip()
-        if kind_tag not in KIND_TAGS:
-            raise ParseError(f"line {lineno}: unknown kind tag {kind_tag!r}")
-        if not value:
-            raise ParseError(f"line {lineno}: empty feature value")
-        if kind_tag == "url":
-            value = resolver.get(value)
-            if value is None:
-                continue
-            kind_tag = "ip"
-        if kind_tag == "ip":
-            name = truncated.get(value)
-            if name is None:
-                try:
-                    name = truncated[value] = truncate_ip(value)
-                except ParseError as exc:
-                    bad_ip = bad_ip or exc
-                    continue
-            value = name
-        keys.add((kind_tag, value))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if key is not None:
+            keys.add(key)
     if bad_ip is not None:
         raise bad_ip
     return keys
@@ -87,17 +104,21 @@ def truncate_ip(ip: str) -> str:
     """Keep the three most significant octets: "216.59.192.44" -> "216.59.192.x"."""
     parts = ip.strip().split(".")
     if len(parts) != 4:
-        raise ParseError(f"malformed IPv4 address: {ip!r}")
+        raise AddressError(f"malformed IPv4 address: {ip!r}")
     for p in parts:
         if not p.isdigit() or not 0 <= int(p) <= 255:
-            raise ParseError(f"malformed IPv4 address: {ip!r}")
+            raise AddressError(f"malformed IPv4 address: {ip!r}")
     return ".".join(parts[:3]) + ".x"
 
 
 def load_resolver_map(path: str | Path) -> dict[str, str]:
     """host -> dotted-quad map from a two-column TSV."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -105,27 +126,43 @@ def load_resolver_map(path: str | Path) -> dict[str, str]:
         if len(cols) != 2:
             raise ParseError(f"{path}: line {lineno}: expected host<TAB>ip")
         host, ip = cols[0].strip(), cols[1].strip()
-        truncate_ip(ip)  # validates the dotted quad
+        try:
+            truncate_ip(ip)  # validates the dotted quad
+        except AddressError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
         entries[host] = ip
     return entries
 
 
 def load_manifest(path: str | Path) -> list[ManifestRow]:
+    """The apps of a CSV manifest with the header app_id,path,group, in file order."""
     rows: list[ManifestRow] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["app_id", "path", "group"]:
-            raise ParseError(f"{path}: manifest header must be app_id,path,group")
-        for row in reader:
-            app_id = row["app_id"].strip()
-            group_tag = row["group"].strip().lower()
-            if group_tag not in ("positive", "unlabeled"):
-                raise ParseError(f"{path}: unknown group {row['group']!r} for {app_id!r}")
-            if app_id in seen:
-                raise DatasetError(f"{path}: duplicate app_id {app_id!r}")
-            seen.add(app_id)
-            rows.append(ManifestRow(app_id, row["path"].strip(), Group(group_tag)))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != ["app_id", "path", "group"]:
+                raise ParseError(f"{path}: manifest header must be app_id,path,group")
+            for cols in reader:
+                if not cols:  # a blank line
+                    continue
+                if len(cols) != 3:
+                    raise ParseError(
+                        f"{path}: line {reader.line_num}: expected 3 columns "
+                        f"app_id,path,group, got {len(cols)}"
+                    )
+                app_id, rel_path, group_tag = (col.strip() for col in cols)
+                group_tag = group_tag.lower()
+                if group_tag not in ("positive", "unlabeled"):
+                    raise ParseError(f"{path}: unknown group {cols[2]!r} for {app_id!r}")
+                if app_id in seen:
+                    raise DatasetError(f"{path}: duplicate app_id {app_id!r}")
+                seen.add(app_id)
+                rows.append(ManifestRow(app_id, rel_path, Group(group_tag)))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not rows:  # else an empty dataset would be written
+        raise ParseError(f"{path}: manifest lists no apps")
     return rows
 
 
@@ -138,30 +175,60 @@ def build_dataset(
 
     The FeatureSpace is the union of observed (kind, name) keys after URL
     resolution and IP truncation, in the canonical (kind, name) order.
+
+    Features recur from app to app, so each distinct raw line is parsed once:
+    `memo` maps it to its feature number, or -1 when it adds no key. A line
+    that fails is never memoised; its file goes through feature_keys, which
+    reports the file's first fault.
     """
     base = Path(base_dir)
-    per_app: list[set[tuple[str, str]]] = []
-    all_keys: set[tuple[str, str]] = set()
-    truncated: dict[str, str] = {}
+    memo: dict[str, int] = {}
+    numbers: dict[tuple[str, str], int] = {}  # key -> feature number, in order of first sight
+    flat: list[int] = []  # the apps' feature numbers, app after app
+    lengths: list[int] = []
     for row in manifest:
         path = base / row.path
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError as exc:
             raise IOError(f"cannot read feature file {path}: {exc}") from exc
         try:
-            keys = feature_keys(text, resolver, truncated)
-        except ParseError as exc:
+            text = data.decode("utf-8")
+            lines = text.splitlines()
+            found = set(map(memo.get, lines))
+            if None in found:
+                found.discard(None)
+                for line in set(lines).difference(memo):
+                    try:
+                        key = line_key(line, resolver)
+                    except ParseError:
+                        feature_keys(text, resolver)  # raises the file's first fault
+                        raise
+                    number = -1 if key is None else numbers.setdefault(key, len(numbers))
+                    memo[line] = number
+                    found.add(number)
+        except (ParseError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path} (app {row.app_id!r}): {exc}") from exc
-        per_app.append(keys)
-        all_keys |= keys
+        found.discard(-1)
+        flat.extend(found)
+        lengths.append(len(found))
+    del memo  # every raw line it holds is dead now: free them before the space is built
 
-    space = FeatureSpace.build(all_keys)
+    keys = list(numbers)
+    del numbers
+    space = FeatureSpace.build(keys)
     index = space.index_of()
-    rows = SampleRows.build(
-        [row.app_id for row in manifest],
-        [sorted(map(index.__getitem__, keys)) for keys in per_app],
-        [-1] * len(manifest),
+    rank = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))  # number -> index
+    del index, keys
+    # sort each row's indices: row-major cell numbers row * d + index sort as (row, index)
+    d = max(space.dimension, 1)
+    row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    cells = np.sort(row_of * d + rank[np.array(flat, dtype=np.int64)])
+    rows = SampleRows(
+        tuple(row.app_id for row in manifest),
+        offsets(lengths),
+        cells % d,
+        np.full(len(manifest), -1, dtype=np.int64),
     )
     members = {g: [i for i, row in enumerate(manifest) if row.group is g] for g in Group}
     return PUDataset(space, rows.take(members[Group.POSITIVE]), rows.take(members[Group.UNLABELED]))

@@ -363,6 +363,55 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, count", [("ben-3,feats/ben2.txt", 2), ("ben-3,x.txt,unlabeled,x", 4)]
+    )
+    def test_manifest_column_count_is_data_error(self, corpus, tmp_path, capsys, row, count):
+        manifest, ipmap = corpus
+        manifest.write_text(manifest.read_text() + row + "\n")
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{manifest}: line 5: expected 3 columns app_id,path,group, got {count}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_header_only_manifest_is_data_error(self, corpus, tmp_path, capsys):
+        manifest, ipmap = corpus
+        manifest.write_text("app_id,path,group\n")
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{manifest}: manifest lists no apps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, where", [
+        ("feats/ben1.txt", "{path} (app 'ben-1')"),
+        ("manifest.csv", "{path}"),
+        ("ipmap.tsv", "{path}"),
+    ])
+    def test_non_utf8_input_names_its_file(self, corpus, tmp_path, capsys, name, where):
+        manifest, ipmap = corpus
+        path = tmp_path / name
+        data = path.read_bytes()
+        path.write_bytes(data[:12] + b"\xff" + data[12:])
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        decode = "'utf-8' codec can't decode byte 0xff in position 12"
+        assert f"{where.format(path=path)}: {decode}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_ratio_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rq2.json"
         code = run(["experiment", "--protocol", "rq2", "--ratios", ",", "--out", str(out)])

@@ -1,4 +1,6 @@
 from dataclasses import dataclass
+import tempfile
+from pathlib import Path
 from typing import Iterable
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import row_lists
 from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
-from pudroid.features import DatasetError, FeatureKind
+from pudroid.features import DatasetError, FeatureKind, FeatureSpace, PUDataset, SampleRows
 from pudroid.ingest import (
     KIND_TAGS,
     Group,
@@ -139,11 +141,8 @@ class TestFeatureKeysOracle:
     @settings(max_examples=500, deadline=None)
     @given(texts=st.lists(FILES, min_size=1, max_size=3))
     def test_same_keys_or_same_error_as_reference(self, texts):
-        truncated: dict[str, str] = {}  # shared, as build_dataset shares it across files
         for text in texts:
-            expected = outcome(reference_keys, text, RESOLVER)
-            assert outcome(feature_keys, text, RESOLVER, truncated) == expected
-            assert outcome(feature_keys, text, RESOLVER, {}) == expected
+            assert outcome(feature_keys, text, RESOLVER) == outcome(reference_keys, text, RESOLVER)
 
     @pytest.mark.parametrize("text, error", [
         ("ip::1.2.3\nbroken\n", "line 2: missing '::' separator"),
@@ -153,14 +152,14 @@ class TestFeatureKeysOracle:
     ])
     def test_several_faults_report_the_reference_error(self, text, error):
         with pytest.raises(ParseError, match=error):
-            feature_keys(text, RESOLVER, {})
-        assert outcome(reference_keys, text, RESOLVER) == outcome(feature_keys, text, RESOLVER, {})
+            feature_keys(text, RESOLVER)
+        assert outcome(reference_keys, text, RESOLVER) == outcome(feature_keys, text, RESOLVER)
 
 
 class TestParseFeatureFile:
     def test_basic_lines(self):
         text = "permission::SEND_SMS\napi::getDeviceId\nurl::evil.example\nip::1.2.3.4\n"
-        assert feature_keys(text, {"evil.example": "5.6.7.8"}, {}) == {
+        assert feature_keys(text, {"evil.example": "5.6.7.8"}) == {
             ("permission", "SEND_SMS"),
             ("api", "getDeviceId"),
             ("ip", "5.6.7.x"),
@@ -169,22 +168,22 @@ class TestParseFeatureFile:
 
     def test_comments_blanks_and_duplicates(self):
         text = "# header\n\n  api::x  \napi::x\npermission::P\n"
-        assert feature_keys(text, {}, {}) == {("api", "x"), ("permission", "P")}
+        assert feature_keys(text, {}) == {("api", "x"), ("permission", "P")}
 
     def test_missing_separator_reports_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            feature_keys("api::ok\nbroken line\n", {}, {})
+            feature_keys("api::ok\nbroken line\n", {})
 
     def test_unknown_kind_tag_is_an_error(self):
         with pytest.raises(ParseError, match="unknown kind tag"):
-            feature_keys("intent::android.intent.action.MAIN\n", {}, {})
+            feature_keys("intent::android.intent.action.MAIN\n", {})
 
     def test_empty_value_is_an_error(self):
         with pytest.raises(ParseError, match="empty feature value"):
-            feature_keys("api::   \n", {}, {})
+            feature_keys("api::   \n", {})
 
     def test_value_may_contain_separator(self):
-        assert feature_keys("api::a::b\n", {}, {}) == {("api", "a::b")}
+        assert feature_keys("api::a::b\n", {}) == {("api", "a::b")}
 
 
 class TestTruncateIp:
@@ -217,35 +216,33 @@ class TestResolverMap:
 
     def test_rejects_bad_ip(self, tmp_path):
         p = tmp_path / "map.tsv"
-        p.write_text("evil.example\tnot-an-ip\n")
-        with pytest.raises(ParseError):
+        p.write_text("ok.example\t1.2.3.4\nevil.example\tnot-an-ip\n")
+        with pytest.raises(ParseError, match=f"{p}: line 2: malformed IPv4 address: 'not-an-ip'"):
             load_resolver_map(p)
 
 
 class TestResolveUrls:
     def test_resolvable_urls_become_ip_lines(self):
-        keys = feature_keys("url::evil.example\napi::x\n", {"evil.example": "1.2.3.4"}, {})
+        keys = feature_keys("url::evil.example\napi::x\n", {"evil.example": "1.2.3.4"})
         assert keys == {("ip", "1.2.3.x"), ("api", "x")}
 
     def test_unresolvable_urls_are_dropped(self):
-        assert feature_keys("url::gone.example\n", {}, {}) == set()
+        assert feature_keys("url::gone.example\n", {}) == set()
 
     def test_resolution_collisions_collapse(self):
         text = "url::a.example\nurl::b.example\nip::1.2.3.4\n"
         resolver = {"a.example": "1.2.3.4", "b.example": "1.2.3.4"}
-        assert feature_keys(text, resolver, {}) == {("ip", "1.2.3.x")}
+        assert feature_keys(text, resolver) == {("ip", "1.2.3.x")}
 
 
 class TestFeaturePairs:
     def test_truncates_ip_names(self):
-        truncated: dict[str, str] = {}
-        keys = feature_keys("ip::1.2.3.4\napi::x\n", {}, truncated)
+        keys = feature_keys("ip::1.2.3.4\napi::x\n", {})
         assert keys == {("ip", "1.2.3.x"), ("api", "x")}
-        assert truncated == {"1.2.3.4": "1.2.3.x"}
 
     def test_unresolved_url_is_never_a_feature(self):
-        assert feature_keys("url::evil.example\n", {}, {}) == set()
-        assert feature_keys("url::evil.example\n", {"evil.example": "1.2.3.4"}, {}) == {
+        assert feature_keys("url::evil.example\n", {}) == set()
+        assert feature_keys("url::evil.example\n", {"evil.example": "1.2.3.4"}) == {
             ("ip", "1.2.3.x")
         }
 
@@ -277,6 +274,25 @@ class TestManifest:
         p.write_text("app_id,path,group\na,x.txt,positive\na,y.txt,unlabeled\n")
         with pytest.raises(DatasetError, match="duplicate"):
             load_manifest(p)
+
+    @pytest.mark.parametrize("row, count", [("b,b.txt", 2), ("b,b.txt,unlabeled,extra", 4)])
+    def test_rejects_wrong_column_count(self, tmp_path, row, count):
+        p = tmp_path / "manifest.csv"
+        p.write_text(f"app_id,path,group\na,a.txt,positive\n\n{row}\n")
+        expected = f"line 4: expected 3 columns app_id,path,group, got {count}"
+        with pytest.raises(ParseError, match=expected):
+            load_manifest(p)
+
+    def test_header_only_lists_no_apps(self, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_text("app_id,path,group\n\n")
+        with pytest.raises(ParseError, match="manifest lists no apps"):
+            load_manifest(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_text("app_id,path,group\n\na, a.txt ,Positive\n\n")
+        assert load_manifest(p) == [ManifestRow("a", "a.txt", Group.POSITIVE)]
 
 
 def _write_corpus(tmp_path):
@@ -324,3 +340,95 @@ class TestBuildDataset:
         (tmp_path / "ben.txt").unlink()
         with pytest.raises(OSError, match="ben.txt"):
             build_dataset(manifest, resolver, tmp_path)
+
+    def test_io_and_parse_errors_keep_manifest_order(self, tmp_path):
+        (tmp_path / "bad.txt").write_text("api::x\nbroken\n")
+        rows = [
+            ManifestRow("a", "gone.txt", Group.POSITIVE),
+            ManifestRow("b", "bad.txt", Group.UNLABELED),
+        ]
+        with pytest.raises(OSError, match="gone.txt"):
+            build_dataset(rows, {}, tmp_path)
+        with pytest.raises(ParseError, match="bad.txt"):
+            build_dataset(rows[::-1], {}, tmp_path)
+
+
+def reference_dataset(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:
+    """build_dataset, file by file: reference_keys per file, then FeatureSpace.build
+    over their union, then each app's sorted indices."""
+    per_app = []
+    for text, row in zip(texts, manifest):
+        try:
+            per_app.append(reference_keys(text, RESOLVER))
+        except ParseError as exc:
+            raise ParseError(f"{base / row.path} (app {row.app_id!r}): {exc}") from None
+    space = FeatureSpace.build(set().union(*per_app))
+    index = space.index_of()
+    rows = SampleRows.build(
+        [row.app_id for row in manifest],
+        [sorted(index[key] for key in keys) for keys in per_app],
+        [-1] * len(manifest),
+    )
+    groups = [[i for i, row in enumerate(manifest) if row.group is g] for g in Group]
+    return dataset_to_dict(PUDataset(space, rows.take(groups[0]), rows.take(groups[1])))
+
+
+def ingested(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:
+    return dataset_to_dict(build_dataset(manifest, RESOLVER, base))
+
+
+def ingest_outcome(build, texts: list[str], groups: list[Group]):
+    """What build(texts, manifest, base) returns once the files are written, or
+    the message of the ParseError it raises."""
+    manifest = [ManifestRow(f"app-{i}", f"f{i}.txt", g) for i, g in enumerate(groups)]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for text, row in zip(texts, manifest):
+            (base / row.path).write_text(text, encoding="utf-8")
+        try:
+            return build(texts, manifest, base)
+        except ParseError as exc:
+            return f"ParseError: {str(exc).replace(tmp, '<base>')}"
+
+
+CLEAN_LINES = feature_lines().filter(
+    lambda line: not isinstance(outcome(reference_keys, line, RESOLVER), str)
+)
+
+
+@st.composite
+def corpora(draw) -> list[str]:
+    """1-5 feature files whose lines come from a pool shared by the corpus, so
+    lines recur across files (padding variants and URL collisions too), and
+    from fresh draws. Half the corpora may hold faults: their pool may hold a
+    faulty line, which then recurs, and FILES files join in."""
+    faults = draw(st.booleans())
+    lines = feature_lines() if faults else CLEAN_LINES
+    pool = draw(st.lists(lines, min_size=1, max_size=8))
+    pooled = st.lists(st.one_of(st.sampled_from(pool), lines), max_size=10).map(
+        lambda ls: "\n".join(ls) + "\n"
+    )
+    return draw(st.lists(st.one_of(pooled, FILES) if faults else pooled, min_size=1, max_size=5))
+
+
+class TestBuildDatasetOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_dataset_or_same_error_as_per_file_reference(self, data):
+        texts = data.draw(corpora())
+        n = len(texts)
+        groups = data.draw(st.lists(st.sampled_from(Group), min_size=n, max_size=n))
+        expected = ingest_outcome(reference_dataset, texts, groups)
+        assert ingest_outcome(ingested, texts, groups) == expected
+
+    @pytest.mark.parametrize(
+        "bad", ["intent::x", "broken", "api::", "ip::1.2.3", "url::bad.example"]
+    )
+    def test_faulty_line_in_two_files_fails_the_first(self, bad):
+        texts = [
+            "api::a\nurl::a.example\n", f"api::a\n{bad}\nurl::b.example\n", f"{bad}\napi::b\n"
+        ]
+        groups = [Group.POSITIVE, Group.UNLABELED, Group.UNLABELED]
+        got = ingest_outcome(ingested, texts, groups)
+        assert got.startswith("ParseError: <base>/f1.txt (app 'app-1'): ")
+        assert got == ingest_outcome(reference_dataset, texts, groups)
