@@ -1,7 +1,7 @@
 """From-scratch probabilistic binary classifiers on 0/1 feature matrices.
 
 Every learner trains and scores on one representation, the CSR
-`features.BinaryMatrix`; a dense 0/1 array is converted to it on the way in.
+`features.BinaryMatrix`, and takes no other.
 Three learners share the score_matrix(X) -> [0, 1]^n contract:
   * logistic linear model, full-batch gradient descent with L2 penalty
   * CART-style decision tree with Gini splits and Laplace-smoothed leaves
@@ -108,16 +108,7 @@ class TrainConfig:
         }
 
 
-Matrix = Union[BinaryMatrix, np.ndarray]
-
-
-def _as_matrix(X: Matrix) -> BinaryMatrix:
-    """A BinaryMatrix as it is; a dense array converted, and rejected unless 0/1."""
-    return X if isinstance(X, BinaryMatrix) else BinaryMatrix.from_dense(X)
-
-
-def _validate_training_input(X: Matrix, y: np.ndarray) -> tuple[BinaryMatrix, np.ndarray]:
-    X = _as_matrix(X)
+def _validate_training_input(X: BinaryMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if len(y) != X.shape[0]:
         raise TrainingError("X must be (n, d) with one target per row")
@@ -125,7 +116,7 @@ def _validate_training_input(X: Matrix, y: np.ndarray) -> tuple[BinaryMatrix, np
         raise TrainingError("empty training set")
     if len(np.unique(y)) < 2:
         raise TrainingError("degenerate target: only one class present")
-    return X, y
+    return y
 
 
 class ProbabilisticClassifier:
@@ -133,16 +124,14 @@ class ProbabilisticClassifier:
 
     dimension: int
 
-    def score_matrix(self, X: Matrix) -> np.ndarray:
+    def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_dim(self, X: Matrix) -> BinaryMatrix:
-        X = _as_matrix(X)
+    def _check_dim(self, X: BinaryMatrix) -> None:
         if X.shape[1] != self.dimension:
             raise DimensionError(
                 f"input has {X.shape[1]} features, model expects {self.dimension}"
             )
-        return X
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -172,26 +161,15 @@ def _logistic_grad(
     return X.rmatvec(resid) / len(y) + l2 * w, float(np.mean(resid))
 
 
-def logistic_loss_and_grad(
-    w: np.ndarray, b: float, X: Matrix, y: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """(loss, dw, db): the objective _logistic_grad descends, and its gradient."""
-    X = _as_matrix(X)
-    p = _sigmoid(X, w, b)
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    loss += 0.5 * l2 * float(w @ w)
-    return (loss, *_logistic_grad(w, b, X, y, l2))
-
-
 class LinearModel(ProbabilisticClassifier):
     def __init__(self, weights: np.ndarray, bias: float):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = float(bias)
         self.dimension = len(self.weights)
 
-    def score_matrix(self, X: Matrix) -> np.ndarray:
-        return _sigmoid(self._check_dim(X), self.weights, self.bias)
+    def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
+        self._check_dim(X)
+        return _sigmoid(X, self.weights, self.bias)
 
     def to_dict(self) -> dict:
         return {
@@ -202,8 +180,8 @@ class LinearModel(ProbabilisticClassifier):
         }
 
     @classmethod
-    def fit(cls, X: Matrix, y: np.ndarray, params: LinearParams) -> "LinearModel":
-        X, y = _validate_training_input(X, y)
+    def fit(cls, X: BinaryMatrix, y: np.ndarray, params: LinearParams) -> "LinearModel":
+        y = _validate_training_input(X, y)
         w = np.zeros(X.shape[1])
         b = 0.0
         yf = y.astype(np.float64)
@@ -356,10 +334,10 @@ class TreeModel(ProbabilisticClassifier):
         self.levels = levels
         self.dimension = dimension
 
-    def score_matrix(self, X: Matrix) -> np.ndarray:
+    def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
         """Depth by depth, the rows at a leaf take its probability and the
         others move to their child, as in the grower: no recursion."""
-        X = self._check_dim(X)
+        self._check_dim(X)
         flat = X.bool_rows.reshape(-1)
         out = np.empty(X.shape[0])
         rows = np.arange(X.shape[0])
@@ -383,8 +361,8 @@ class TreeModel(ProbabilisticClassifier):
         }
 
     @classmethod
-    def fit(cls, X: Matrix, y: np.ndarray, params: TreeParams) -> "TreeModel":
-        X, y = _validate_training_input(X, y)
+    def fit(cls, X: BinaryMatrix, y: np.ndarray, params: TreeParams) -> "TreeModel":
+        y = _validate_training_input(X, y)
         n = len(y)
         ones = np.ones(n, dtype=np.int64)
         levels = _grow_levels(X.bool_rows, y, np.arange(n), ones, params, None, None)
@@ -400,8 +378,8 @@ class ForestModel(ProbabilisticClassifier):
         self.trees = trees
         self.dimension = dimension
 
-    def score_matrix(self, X: Matrix) -> np.ndarray:
-        X = self._check_dim(X)  # converted once, so the trees share its bool_rows
+    def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
+        self._check_dim(X)  # every tree reads the one cached X.bool_rows
         total = np.zeros(X.shape[0])
         for tree in self.trees:
             total += tree.score_matrix(X)
@@ -418,13 +396,13 @@ class ForestModel(ProbabilisticClassifier):
     @classmethod
     def fit(
         cls,
-        X: Matrix,
+        X: BinaryMatrix,
         y: np.ndarray,
         params: ForestParams,
         tree_params: TreeParams,
         seed: int,
     ) -> "ForestModel":
-        X, y = _validate_training_input(X, y)
+        y = _validate_training_input(X, y)
         n, d = X.shape
         if params.features_per_split == "sqrt":
             k = math.ceil(math.sqrt(d))
@@ -451,7 +429,7 @@ class ForestModel(ProbabilisticClassifier):
 # front door
 
 
-def train(X: Matrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier:
+def train(X: BinaryMatrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier:
     """Train the configured learner on a 0/1 matrix with binary targets."""
     if cfg.learner is Learner.LINEAR:
         return LinearModel.fit(X, y, cfg.linear)

@@ -142,7 +142,10 @@ def _spec_from_args(args: argparse.Namespace) -> SyntheticSpec:
     """The --spec-file keys, then the generator flags over them, then the run seed."""
     values = {}
     if args.spec_file:
-        lines = Path(args.spec_file).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(args.spec_file).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.spec_file}: {exc}") from None
         for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -233,7 +236,13 @@ def build_parser() -> _Parser:
 def _cmd_ingest(args: argparse.Namespace) -> None:
     manifest = load_manifest(args.manifest)
     resolver = load_resolver_map(args.ipmap)
-    save_dataset(build_dataset(manifest, resolver, Path(args.manifest).parent), args.out)
+    ds = build_dataset(manifest, resolver, Path(args.manifest).parent)
+    sizes = {"feature": ds.space.dimension, "positive app": len(ds.positives),
+             "unlabeled app": len(ds.unlabeled)}
+    empty = [name for name, size in sizes.items() if not size]
+    if empty:  # nothing could be selected, cleaned or trained on it
+        raise ValueError(f"{args.manifest}: the dataset would hold no {' and no '.join(empty)}")
+    save_dataset(ds, args.out)
 
 
 def _cmd_select(args: argparse.Namespace) -> None:

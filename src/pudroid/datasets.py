@@ -121,4 +121,6 @@ def load_dataset(path: str | Path) -> PUDataset:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:  # the parser recurses once per nesting level, before any check
         raise ValueError("dataset JSON: $ is nested too deeply to parse") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     return dataset_from_dict(data)

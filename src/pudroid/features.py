@@ -50,8 +50,8 @@ class FeatureSpace:
         return cls(tuple((name, KIND_OF[kind]) for kind, name in sorted(set(keys))))
 
     def __post_init__(self) -> None:
-        index = self.index_of()  # the key ingest and the dataset JSON use
-        if len(index) != self.dimension:
+        if len(set(self.features)) != self.dimension:
+            index = self.index_of()
             n, k = next(f for i, f in enumerate(self.features) if index[f[1].value, f[0]] != i)
             raise DatasetError(f"feature {n!r} of kind {k.value!r} occurs twice")
 
@@ -210,18 +210,6 @@ class BinaryMatrix:
     @classmethod
     def from_rows(cls, rows: SampleRows, dimension: int) -> BinaryMatrix:
         return cls(rows.indptr, rows.indices, dimension)
-
-    @classmethod
-    def from_dense(cls, X) -> BinaryMatrix:
-        """The matrix of a dense array; any entry other than 0 or 1 is an error."""
-        X = np.asarray(X)
-        if X.ndim != 2:
-            raise DatasetError(f"expected a 2-D 0/1 matrix, got {X.ndim} dimensions")
-        bad = X[(X != 0) & (X != 1)]
-        if len(bad):
-            raise DatasetError(f"expected a 0/1 matrix, got the entry {bad[0]}")
-        rows, cols = np.nonzero(X)
-        return cls(offsets(np.bincount(rows, minlength=len(X))), cols.astype(np.int64), X.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:

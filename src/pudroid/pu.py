@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -45,17 +44,19 @@ def split_validation(z: np.ndarray, fraction: float, seed: int) -> tuple[np.ndar
     Returns (training rows, validation positive rows P'), both ascending.
     """
     if not 0.0 < fraction < 1.0:
-        raise SplitError("fraction must be in (0, 1)")
+        raise SplitError("split: fraction must be in (0, 1)")
     n = len(z)
     n_v = int(round(fraction * n))
     if n_v < 1 or n_v >= n:
-        raise SplitError(f"fraction {fraction} leaves a degenerate split for n={n}")
+        raise SplitError(f"split: fraction {fraction} leaves a degenerate split for n={n}")
     rng = np.random.default_rng([seed])
     in_v = np.zeros(n, dtype=bool)
     in_v[rng.permutation(n)[:n_v]] = True
     p_rows = np.flatnonzero(in_v & (z == 1))
     if not len(p_rows):
-        raise SplitError("validation set contains no positives; increase the fraction or reseed")
+        raise SplitError(
+            "split: validation set contains no positives; increase the fraction or reseed"
+        )
     return np.flatnonzero(~in_v), p_rows
 
 
@@ -99,10 +100,9 @@ def apply_rescale_heuristic(
     return pu
 
 
-def detect_contaminants(pu: PUModel, X_u: BinaryMatrix, u_ids: Sequence[str]) -> list[str]:
-    """Ids of the unlabeled rows classified malicious by g (g > 0.5), sorted."""
-    g = pu.g_matrix(X_u)
-    return sorted(sid for sid, gs in zip(u_ids, g) if gs > 0.5)
+def detect_contaminants(pu: PUModel, X_u: BinaryMatrix) -> np.ndarray:
+    """Per unlabeled row, whether g classifies it malicious (g > 0.5)."""
+    return pu.g_matrix(X_u) > 0.5
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,15 @@ def clean_and_retrain(
         PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
     u = ds.unlabeled
-    contaminants = detect_contaminants(pu, X[np.arange(len(ds.positives), len(z))], u.ids)
-    is_flagged = np.isin(u.ids, contaminants)
+    is_flagged = detect_contaminants(pu, X[np.arange(len(ds.positives), len(z))])
     if is_flagged.all():  # P is non-empty, so only an all-flagged U leaves one class
-        raise TrainingError(f"retrain: all {len(contaminants)} unlabeled samples were flagged; "
+        raise TrainingError(f"retrain: all {len(u)} unlabeled samples were flagged; "
                             "the cleaned set has one class")
 
     moved = u.take(np.flatnonzero(is_flagged))
     p = ds.positives if discard else ds.positives + replace(moved, hidden=np.full(len(moved), -1))
     return CleanResult(
-        contaminant_ids=tuple(contaminants),
+        contaminant_ids=tuple(sorted(moved.ids)),
         cleaned=PUDataset(ds.space, p, u.take(np.flatnonzero(~is_flagged))),
         diagnostics=CleanDiagnostics(e=e, rescale=pu.rescale, mean_g_over_pm=mu),
     )

@@ -1,11 +1,12 @@
-"""Shared builders for small hand-constructed datasets."""
+"""Shared builders for small hand-constructed datasets and matrices."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from pudroid.features import FeatureKind, FeatureSpace, PUDataset, SampleRows
+from pudroid import classifiers
+from pudroid.features import BinaryMatrix, FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
 
 
 def space_of(n: int, kind: FeatureKind = FeatureKind.API) -> FeatureSpace:
@@ -50,3 +51,24 @@ def pu_datasets(draw, max_dimension: int = 12) -> PUDataset:
         return rows_of([f"{prefix}{i}" for i in range(len(rows))], rows, labels)
 
     return PUDataset(space_of(d), group("p", [-1, 1]), group("u", [-1, 0, 1]))
+
+
+def matrix_of(X) -> BinaryMatrix:
+    """The learner input of a dense 0/1 array."""
+    X = np.asarray(X)
+    assert X.ndim == 2 and np.isin(X, (0, 1)).all()
+    rows, cols = np.nonzero(X)
+    indptr = offsets(np.bincount(rows, minlength=len(X)))
+    return BinaryMatrix(indptr, cols.astype(np.int64), X.shape[1])
+
+
+def logistic_loss_and_grad(w, b, X, y, l2) -> tuple[float, np.ndarray, float]:
+    """(loss, dw, db): the mean cross-entropy plus 0.5*l2*||w||^2 on the dense
+    0/1 array X, and the gradient step LinearModel.fit takes on its matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+    eps = 1e-12
+    loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    loss += 0.5 * l2 * float(w @ w)
+    return (loss, *classifiers._logistic_grad(w, b, matrix_of(X), y, l2))

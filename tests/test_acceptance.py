@@ -20,7 +20,6 @@ from pudroid.classifiers import (
     TrainConfig,
     TreeModel,
     TreeParams,
-    logistic_loss_and_grad,
 )
 from pudroid.cli import run
 from pudroid.features import dense_matrix
@@ -42,7 +41,7 @@ from pudroid.synthetic import (
     planted_contaminant_ids,
 )
 
-from conftest import random_dataset
+from conftest import logistic_loss_and_grad, matrix_of, random_dataset
 
 # fast-converging settings used throughout: plain full-batch gradient descent
 # with a larger step count than the library defaults, and a 30-tree forest
@@ -98,7 +97,7 @@ def test_c02_adjusted_score_recovers_true_posterior():
             )
         )
         Xh = dense_matrix(held_out.dataset.samples, held_out.dataset.space.dimension).astype(float)
-        mads.append(float(np.mean(np.abs(pu.g_matrix(Xh) - analytic_posterior(spec, Xh)))))
+        mads.append(float(np.mean(np.abs(pu.g_matrix(matrix_of(Xh)) - analytic_posterior(spec, Xh)))))
     elapsed = time.monotonic() - start
     median = float(np.median(mads))
     ok = median <= 0.1 and elapsed <= 60
@@ -136,7 +135,7 @@ def small_tree_model():
     rng = np.random.default_rng(0)
     X = (rng.random((120, 6)) < 0.4).astype(float)
     y = ((X[:, 0] + X[:, 1]) > 0).astype(int)
-    return TreeModel.fit(X, y, TreeParams(max_depth=4, min_leaf=3))
+    return TreeModel.fit(matrix_of(X), y, TreeParams(max_depth=4, min_leaf=3))
 
 
 def test_c04_adjustment_preserves_ranking(small_tree_model):
@@ -150,7 +149,7 @@ def test_c04_adjustment_preserves_ranking(small_tree_model):
         st.floats(min_value=0.5, max_value=1.0),
     )
     def inner(rows, e):
-        X = np.array(rows, dtype=float)
+        X = matrix_of(np.array(rows, dtype=float))
         f = model.score_matrix(X)
         g = PUModel(model, e).g_matrix(X)
         if np.any(g >= 1.0):

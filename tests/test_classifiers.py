@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import pu_datasets
+from conftest import logistic_loss_and_grad, matrix_of, pu_datasets
 
 from pudroid import classifiers
 from pudroid.classifiers import (
@@ -21,18 +21,16 @@ from pudroid.classifiers import (
     TrainingError,
     TreeModel,
     TreeParams,
-    logistic_loss_and_grad,
     train,
 )
-from pudroid.features import BinaryMatrix, DatasetError, DimensionError, dense_matrix, offsets
+from pudroid.features import BinaryMatrix, DimensionError, dense_matrix, offsets
 from pudroid.pu import training_arrays
 
 
 def _xor_free_problem(rng, n=80, d=6):
     """Linearly separable toy problem: label = feature 0."""
     X = (rng.random((n, d)) < 0.4).astype(float)
-    y = X[:, 0].astype(int)
-    return X, y
+    return matrix_of(X), X[:, 0].astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def _ref_forest(X, y, params: ForestParams, tree_params: TreeParams, seed: int, 
 def _fit_and_replay(X, y, params: ForestParams, tree_params: TreeParams, seed: int):
     """(package forest, replayed reference forest, reference fallback count)."""
     with _recorded_draws() as draws:
-        got = ForestModel.fit(X, y, params, tree_params, seed)
+        got = ForestModel.fit(matrix_of(X), y, params, tree_params, seed)
     return (got, *_ref_forest(X, y, params, tree_params, seed, draws))
 
 
@@ -200,7 +198,7 @@ def _split_order(model: TreeModel) -> list[int]:
 class TestLinear:
     def test_zero_model_scores_half(self):
         model = LinearModel(np.zeros(3), 0.0)
-        assert model.score_matrix(np.array([[0.0, 1.0, 0.0]])).tolist() == [0.5]
+        assert model.score_matrix(matrix_of([[0.0, 1.0, 0.0]])).tolist() == [0.5]
 
     def test_fit_separable(self):
         rng = np.random.default_rng(0)
@@ -238,7 +236,7 @@ class TestLinear:
 
 class TestTree:
     def test_laplace_leaf_probabilities(self):
-        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        X = matrix_of([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=3, min_leaf=1))
         assert _split_order(model) == [0]
@@ -246,12 +244,12 @@ class TestTree:
         assert model.score_matrix(X).tolist() == [0.25, 0.25, 0.75, 0.75]
 
     def test_degenerate_target_rejected(self):
-        X = np.array([[0.0], [1.0]])
+        X = matrix_of([[0.0], [1.0]])
         with pytest.raises(TrainingError):
             TreeModel.fit(X, np.array([1, 1]), TreeParams())
 
     def test_min_leaf_blocks_split(self):
-        X = np.array([[0.0], [0.0], [0.0], [1.0]])
+        X = matrix_of([[0.0], [0.0], [0.0], [1.0]])
         y = np.array([0, 0, 0, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=3, min_leaf=2))
         # the only split would isolate a single sample
@@ -261,13 +259,13 @@ class TestTree:
     def test_split_ties_go_to_lowest_feature_index(self):
         rng = np.random.default_rng(2)
         col = (rng.random(40) < 0.5).astype(float)
-        X = np.column_stack([col, col, col])  # identical candidates
+        X = matrix_of(np.column_stack([col, col, col]))  # identical candidates
         y = col.astype(int)
         model = TreeModel.fit(X, y, TreeParams(max_depth=2, min_leaf=1))
         assert _split_order(model) == [0]
 
     def test_max_depth_zero_is_a_single_leaf(self):
-        X = np.array([[0.0], [1.0]])
+        X = matrix_of([[0.0], [1.0]])
         y = np.array([0, 1])
         model = TreeModel.fit(X, y, TreeParams(max_depth=0, min_leaf=1))
         assert _split_order(model) == []
@@ -276,7 +274,7 @@ class TestTree:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_scores_are_probabilities(self, seed):
         rng = np.random.default_rng(seed)
-        X = (rng.random((30, 5)) < 0.5).astype(float)
+        X = matrix_of(rng.random((30, 5)) < 0.5)
         y = rng.integers(0, 2, size=30)
         if len(np.unique(y)) < 2:
             y[0] = 1 - y[0]
@@ -363,7 +361,7 @@ class TestGrowerOracle:
     @given(_grow_problem())
     def test_same_serialized_models_as_reference(self, problem):
         X, y, tree, forest, seed = problem
-        assert TreeModel.fit(X, y, tree).serialize() == _ref_tree(X, y, tree)
+        assert TreeModel.fit(matrix_of(X), y, tree).serialize() == _ref_tree(X, y, tree)
         got, expected, _ = _fit_and_replay(X, y, forest, tree, seed)
         assert got.serialize() == expected
 
@@ -386,7 +384,7 @@ class TestGrowerOracle:
         X = (rng.random((2000, 200)) < 0.05).astype(float)
         X[:, :8] = rng.random((2000, 8)) < 0.3
         y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(2000) < 0.1)
-        model = ForestModel.fit(X, y, ForestParams(n_trees=10), TreeParams(), seed)
+        model = ForestModel.fit(matrix_of(X), y, ForestParams(n_trees=10), TreeParams(), seed)
         assert hashlib.sha256(model.serialize().encode()).hexdigest() == digest
 
 
@@ -414,7 +412,7 @@ class TestCandidateDraw:
         rng = np.random.default_rng(0)
         X = rng.random((n, d)) < 0.002
         X[:, :d:100] = rng.random((n, 200)) < 0.5  # dense enough for balanced splits
-        X = BinaryMatrix.from_dense(X)
+        X = matrix_of(X)
         y = rng.integers(0, 2, size=n)
         calls, real = [], classifiers._draw_candidates  # per draw: (m, its block shapes)
 
@@ -458,20 +456,21 @@ class TestLevelScorer:
         X, y, tree, forest, seed = problem
         rng = np.random.default_rng(extra)
         Z = np.vstack([X, rng.random((10, X.shape[1])) < 0.5])  # rows the fit never saw
-        model = TreeModel.fit(X, y, tree)
-        assert model.score_matrix(Z).tolist() == _walk(model.to_dict()["root"], Z)
-        model = ForestModel.fit(X, y, forest, tree, seed)
+        M, MZ = matrix_of(X), matrix_of(Z)
+        model = TreeModel.fit(M, y, tree)
+        assert model.score_matrix(MZ).tolist() == _walk(model.to_dict()["root"], Z)
+        model = ForestModel.fit(M, y, forest, tree, seed)
         total = [0.0] * len(Z)
         for t in json.loads(model.serialize())["trees"]:
             total = [a + b for a, b in zip(total, _walk(t, Z))]
         expected = [v / forest.n_trees for v in total]
-        assert model.score_matrix(Z).tolist() == expected
+        assert model.score_matrix(MZ).tolist() == expected
 
     @settings(deadline=None, max_examples=50)
     @given(_grow_problem())
     def test_every_node_holds_the_laplace_probability_of_its_rows(self, problem):
         X, y, tree, _, _ = problem
-        model = TreeModel.fit(X, y, tree)
+        model = TreeModel.fit(matrix_of(X), y, tree)
         nodes = [np.arange(len(y))]  # each node's training rows, left to right
         for feature, prob in model.levels:
             assert len(feature) == len(nodes)
@@ -514,7 +513,7 @@ class TestCommonSurface:
         assert isinstance(train(X, y, cfg), ForestModel)
 
     def test_single_class_target_is_an_error(self):
-        X = np.ones((4, 2))
+        X = matrix_of(np.ones((4, 2)))
         with pytest.raises(TrainingError, match="degenerate"):
             train(X, np.ones(4), TrainConfig(learner=Learner.LINEAR))
 
@@ -535,7 +534,7 @@ class TestCommonSurface:
     def test_dimension_mismatch_is_an_error(self):
         model = LinearModel(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):
-            model.score_matrix(np.zeros((2, 4)))
+            model.score_matrix(matrix_of(np.zeros((2, 4))))
 
 
 def _ref_linear_descent(X, y, params: LinearParams):
@@ -583,13 +582,13 @@ class TestMatrixInput:
                 # each resid entry moves by at most 0.25 times the rounding of
                 # its logit, which is a few ulps of sum|w| + |b|
                 tol = 1e-12 * (1.0 + np.abs(w).sum() + abs(b))
-                _, got_dw, got_db = logistic_loss_and_grad(w, b, M, yf, params.l2)
+                got_dw, got_db = classifiers._logistic_grad(w, b, M, yf, params.l2)
                 assert np.abs(got_dw - dw).max(initial=0.0) <= tol
                 assert abs(got_db - db) <= tol
             model = LinearModel.fit(M, z, params)
             w, b = np.zeros(M.shape[1]), 0.0
             for _ in range(params.epochs):
-                _, dw, db = logistic_loss_and_grad(w, b, M, yf, params.l2)
+                dw, db = classifiers._logistic_grad(w, b, M, yf, params.l2)
                 w = w - params.learning_rate * dw
                 b = b - params.learning_rate * db
         assert np.array_equal(model.weights, w, equal_nan=True)
@@ -606,21 +605,8 @@ class TestMatrixInput:
         M, z = training_arrays(ds)
         X = dense_matrix(ds.samples, ds.space.dimension)
         tree = TreeParams(max_depth=depth, min_leaf=1)
-        got = TreeModel.fit(M, z, tree)
-        assert got.serialize() == TreeModel.fit(X, z, tree).serialize() == _ref_tree(X, z, tree)
-        assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
+        assert TreeModel.fit(M, z, tree).serialize() == _ref_tree(X, z, tree)
         forest = ForestParams(n_trees=3)
         got = ForestModel.fit(M, z, forest, tree, seed)
-        from_dense, expected, _ = _fit_and_replay(X, z, forest, tree, seed)
-        assert got.serialize() == from_dense.serialize() == expected
-        assert np.array_equal(got.score_matrix(M), got.score_matrix(X))
-
-    @pytest.mark.parametrize("learner", list(Learner))
-    def test_dense_input_other_than_0_1_is_rejected(self, learner):
-        X = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 1.0]])
-        y = np.array([0, 1, 1])
-        with pytest.raises(DatasetError):
-            train(X, y, TrainConfig(learner=learner, forest=ForestParams(n_trees=2)))
-        model = train(X.round(), y, TrainConfig(learner=learner, forest=ForestParams(n_trees=2)))
-        with pytest.raises(DatasetError):
-            model.score_matrix(X)
+        replayed, expected, _ = _fit_and_replay(X, z, forest, tree, seed)
+        assert got.serialize() == replayed.serialize() == expected

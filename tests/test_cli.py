@@ -11,6 +11,7 @@ import pytest
 import pudroid
 from pudroid.cli import UsageError, _spec_from_args, build_parser, run
 from pudroid.datasets import load_dataset, save_dataset
+from pudroid.report import DATASET_SCHEMA
 from pudroid.synthetic import SpecError, SyntheticSpec, generate_synthetic
 
 
@@ -409,6 +410,63 @@ class TestExitCodes:
         assert code == 2
         decode = "'utf-8' codec can't decode byte 0xff in position 12"
         assert f"{where.format(path=path)}: {decode}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("files, rows, empty", [
+        pytest.param({"a.txt": "# a comment\nurl::gone.example\n"}, ["a,a.txt,positive"],
+                     "feature and no unlabeled app", id="one-app-no-key"),
+        pytest.param({"a.txt": "# a comment\n", "b.txt": "\n"},
+                     ["a,a.txt,positive", "b,b.txt,unlabeled"], "feature", id="no-keyed-line"),
+        pytest.param({"a.txt": "api::getDeviceId\n", "b.txt": "permission::INTERNET\n"},
+                     ["a,a.txt,unlabeled", "b,b.txt,unlabeled"], "positive app", id="one-group"),
+    ])
+    def test_empty_ingest_result_is_data_error(self, tmp_path, capsys, files, rows, empty):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("app_id,path,group\n" + "".join(row + "\n" for row in rows))
+        ipmap = tmp_path / "ipmap.tsv"
+        ipmap.write_text("")
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {manifest}: the dataset would hold no {empty}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        pytest.param(f"{command} --dataset", data, message, id=f"{command}-{fault}")
+        for command in ("clean", "select-features", "pca")
+        for fault, data, message in [
+            ("utf8", b"\xff{}",
+             "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("json", b'{"schema": }', "{path}: Expecting value: line 1 column 12 (char 11)"),
+        ]
+    ] + [
+        pytest.param(
+            "experiment --protocol rq1 --spec-file", b"n_positive=7\xff\n",
+            "{path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+            id="spec-file-utf8",
+        ),
+        pytest.param(
+            "clean --dataset",
+            json.dumps({
+                "schema": DATASET_SCHEMA, "features": [["a", "api"]],
+                "positives": [{"id": "p", "on": [0]}], "unlabeled": [{"id": "u", "on": []}],
+            }).encode(),
+            "split: fraction 0.2 leaves a degenerate split for n=2", id="two-sample-split",
+        ),
+    ])
+    def test_data_error_names_its_file_or_stage(self, tmp_path, capsys, argv, data, message):
+        path, out = tmp_path / "input", tmp_path / "o"
+        path.write_bytes(data)
+        code = run([*argv.split(), str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message.format(path=path)}\n" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_rows, pu_datasets, row_lists, rows_of, space_of
+from conftest import dataset_from_rows, matrix_of, pu_datasets, row_lists, rows_of, space_of
 from pudroid.features import (
     BinaryMatrix,
     DatasetError,
@@ -191,13 +191,5 @@ class TestBinaryMatrixOracle:
         assert M.bool_rows.flags.c_contiguous and np.array_equal(M.bool_rows, X > 0)
         order = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
         assert np.array_equal(M[order].bool_rows, X[order])
-        twin = BinaryMatrix.from_dense(X)
+        twin = matrix_of(X)
         assert np.array_equal(twin.indptr, M.indptr) and np.array_equal(twin.indices, M.indices)
-
-    @pytest.mark.parametrize("X, named", [
-        ([[0.0, 0.5]], "0.5"), ([[2.0, 1.0]], "2.0"), ([[np.nan, 0.0]], "nan"),
-        ([0.0, 1.0], "1 dimensions"),
-    ])
-    def test_from_dense_rejects_all_but_0_1_matrices(self, X, named):
-        with pytest.raises(DatasetError, match=f"0/1 matrix, got .*{named}"):
-            BinaryMatrix.from_dense(np.array(X))

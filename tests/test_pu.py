@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dataset_from_rows, random_dataset
+from conftest import dataset_from_rows, matrix_of, random_dataset
 from pudroid import pu
 from pudroid.classifiers import (
     Learner,
@@ -39,7 +39,7 @@ class StubModel(ProbabilisticClassifier):
         self.off_score = off_score
 
     def score_matrix(self, X):
-        X = self._check_dim(X)
+        self._check_dim(X)
         return np.where(X.bool_rows[:, 0], self.on_score, self.off_score)
 
 
@@ -110,11 +110,11 @@ class TestEstimator:
 class TestAdjustedModel:
     def test_g_divides_by_e(self):
         pu = PUModel(StubModel(2, 0.4, 0.1), e=0.5)
-        assert pu.g_matrix(np.array([[1.0, 0.0]])) == pytest.approx([0.8])
+        assert pu.g_matrix(matrix_of([[1.0, 0.0]])) == pytest.approx([0.8])
 
     def test_g_clamps_at_one(self):
         pu = PUModel(StubModel(2, 0.9, 0.1), e=0.5)
-        X = np.array([[1.0, 0.0], [0.0, 0.0]])
+        X = matrix_of([[1.0, 0.0], [0.0, 0.0]])
         assert pu.g_matrix(X).tolist() == [1.0, 0.2]
 
     def test_rescale_triggers_below_threshold(self):
@@ -137,16 +137,16 @@ class TestAdjustedModel:
 class TestDetection:
     def test_strictly_above_half_sorted(self):
         pu = PUModel(StubModel(2, 0.6, 0.25), e=1.0)
-        X_u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])  # g = 0.6, 0.6, 0.25
-        assert detect_contaminants(pu, X_u, ["zz", "aa", "mm"]) == ["aa", "zz"]
+        X_u = matrix_of([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])  # g = 0.6, 0.25, 0.6
+        assert detect_contaminants(pu, X_u).tolist() == [True, False, True]
 
     def test_boundary_not_flagged(self):
         pu = PUModel(StubModel(2, 0.5, 0.5), e=1.0)  # g exactly 0.5
-        assert detect_contaminants(pu, np.array([[1.0, 0.0]]), ["a"]) == []
+        assert detect_contaminants(pu, matrix_of([[1.0, 0.0]])).tolist() == [False]
 
     def test_empty_group(self):
         pu = PUModel(StubModel(2, 0.9, 0.9), e=1.0)
-        assert detect_contaminants(pu, np.zeros((0, 2)), []) == []
+        assert detect_contaminants(pu, matrix_of(np.zeros((0, 2)))).tolist() == []
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,7 @@ class TestCleanAndRetrain:
         ds = contaminated.dataset
         result = clean_and_retrain(ds, cfg, seed=2)
         assert result.contaminant_ids
+        assert list(result.contaminant_ids) == sorted(result.contaminant_ids)
         cleaned_p = result.cleaned.positives
         moved = set(cleaned_p.ids) - set(ds.positives.ids)
         assert moved == set(result.contaminant_ids)
