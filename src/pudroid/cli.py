@@ -13,6 +13,11 @@ import os
 import sys
 from pathlib import Path
 
+# pudroid's only BLAS calls are PCA's small basis products and its eigh of at
+# most 600x600, too small to share: extra OpenBLAS threads only spin and burn
+# CPU. OpenBLAS reads this once, when numpy loads; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .classifiers import ForestParams, Learner, LinearParams, TrainConfig, TreeParams
 from .datasets import load_dataset, save_dataset

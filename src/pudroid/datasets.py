@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TextIO
 
 from .features import KIND_OF, FeatureKind, FeatureSpace, PUDataset, SampleRows
 from .report import DATASET_SCHEMA
@@ -84,43 +86,57 @@ def dataset_from_dict(data: dict) -> PUDataset:
     )
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays it
-    out when its opening bracket sits on a line indented by `indent`."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+def _write_array(fh: TextIO, items: Iterable[str]) -> None:
+    """Write a JSON array of encoded items, laid out as json.dumps(indent=2)
+    lays out a value of the document's top-level object."""
+    sep, close = "[\n    ", "[]"
+    for item in items:
+        fh.write(sep)
+        fh.write(item)
+        sep, close = ",\n    ", "\n  ]"
+    fh.write(close)
 
 
-def _sample(sid: str, on: list[int], hidden: int | None) -> str:
-    hidden = "" if hidden is None else f'      "hidden": {hidden},\n'
-    on = _array(list(map(str, on)), "      ")
-    return f'{{\n{hidden}      "id": {_quote(sid)},\n      "on": {on}\n    }}'
+def _samples(rows: SampleRows, on_tokens: list[str]) -> Iterator[str]:
+    """Each sample's encoded object; its on-list is joined from on_tokens[i],
+    the ",\n        {i}" that precedes index i in a list."""
+    bounds = rows.indptr.tolist()
+    for sid, hidden, a, b in zip(rows.ids, rows.hidden.tolist(), bounds, bounds[1:]):
+        on = "".join(map(on_tokens.__getitem__, rows.indices[a:b].tolist()))
+        on = f"[{on[1:]}\n      ]" if on else "[]"
+        hidden = "" if hidden < 0 else f'      "hidden": {hidden},\n'
+        yield f'{{\n{hidden}      "id": {_quote(sid)},\n      "on": {on}\n    }}'
 
 
 def save_dataset(ds: PUDataset, path: str | Path) -> None:
     """Write the bytes of report.dumps(dataset_to_dict(ds)) directly: datasets
     hold no floats, so the layout (indent 2, sorted keys, ASCII-escaped
-    strings) is written per feature and per sample, not per value."""
+    strings) is written per feature and per sample, straight to the open
+    file: memory holds one sample's text at a time, never the document's."""
     kinds = {kind: _quote(kind.value) for kind in FeatureKind}
-    features = [
-        f"[\n      {_quote(name)},\n      {kinds[kind]}\n    ]" for name, kind in ds.space.features
-    ]
-    text = (
-        f'{{\n  "features": {_array(features, "  ")},\n'
-        f'  "positives": {_array(list(starmap(_sample, _row_slices(ds.positives))), "  ")},\n'
-        f'  "schema": {_quote(DATASET_SCHEMA)},\n'
-        f'  "unlabeled": {_array(list(starmap(_sample, _row_slices(ds.unlabeled))), "  ")}\n}}\n'
-    )
-    Path(path).write_text(text, encoding="utf-8")
+    on_tokens = [f",\n        {i}" for i in range(ds.space.dimension)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "features": ')
+        _write_array(fh, (
+            f"[\n      {_quote(name)},\n      {kinds[kind]}\n    ]"
+            for name, kind in ds.space.features
+        ))
+        fh.write(',\n  "positives": ')
+        _write_array(fh, _samples(ds.positives, on_tokens))
+        fh.write(f',\n  "schema": {_quote(DATASET_SCHEMA)},\n  "unlabeled": ')
+        _write_array(fh, _samples(ds.unlabeled, on_tokens))
+        fh.write("\n}\n")
 
 
 def load_dataset(path: str | Path) -> PUDataset:
+    """The dataset in the file at `path`; every data fault names the file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:  # the parser recurses once per nesting level, before any check
-        raise ValueError("dataset JSON: $ is nested too deeply to parse") from None
+        raise ValueError(f"{path}: dataset JSON: $ is nested too deeply to parse") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from None
-    return dataset_from_dict(data)
+    try:
+        return dataset_from_dict(data)
+    except ValueError as exc:  # a structural fault; its class is kept
+        raise type(exc)(f"{path}: {exc}") from None

@@ -119,16 +119,6 @@ class TestExitCodes:
         assert named in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["clean", "select-features", "pca"])
-    def test_deeply_nested_dataset_json_is_data_error(self, tmp_path, capsys, command):
-        nested = tmp_path / "nested.json"
-        nested.write_text("[" * 100000 + "]" * 100000)  # past the parser's recursion limit
-        code = run([command, "--dataset", str(nested), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "dataset JSON: $ is nested too deeply to parse" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("corrupt, message", [
         pytest.param(lambda d: d["unlabeled"][1]["on"].insert(0, -1), "negative feature index",
                      id="negative"),
@@ -444,6 +434,18 @@ class TestExitCodes:
             ("utf8", b"\xff{}",
              "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
             ("json", b'{"schema": }', "{path}: Expecting value: line 1 column 12 (char 11)"),
+            ("schema", b'{"schema": "x"}', "{path}: unsupported dataset schema: 'x'"),
+            ("no-positives",
+             json.dumps({"schema": DATASET_SCHEMA, "features": [], "unlabeled": []}).encode(),
+             "{path}: dataset JSON: missing $.positives"),
+            ("unsorted-on",
+             json.dumps({
+                 "schema": DATASET_SCHEMA, "features": [["a", "api"], ["b", "api"]],
+                 "positives": [{"id": "p", "on": [1, 0]}], "unlabeled": [{"id": "u", "on": []}],
+             }).encode(),
+             "{path}: indices must be strictly increasing"),
+            ("deep", b"[" * 100000 + b"]" * 100000,  # past the parser's recursion limit
+             "{path}: dataset JSON: $ is nested too deeply to parse"),
         ]
     ] + [
         pytest.param(
@@ -476,6 +478,26 @@ class TestExitCodes:
         assert code == 1
         assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_cli_sets_one_blas_thread_unless_preset(self, preset, expected):
+        # OpenBLAS reads the variable when numpy loads, so only a fresh interpreter shows it
+        paths = [str(Path(pudroid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        script = (
+            "import os, sys; import pudroid; print('numpy' in sys.modules); "
+            "import pudroid.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", expected]
 
 
 class TestSeedDefault:

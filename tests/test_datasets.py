@@ -1,5 +1,7 @@
 """The dataset JSON writer against its reference: report.dumps(dataset_to_dict(ds))."""
 
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +61,16 @@ class TestWriterOracle:
     def test_synthetic_set(self, tmp_path):
         spec = SyntheticSpec(n_positive=80, n_negative=160, dimension=40, seed=5)
         _assert_written_as_reference(generate_synthetic(spec).dataset, tmp_path / "ds.json")
+
+
+def test_writer_holds_one_sample_not_the_file(tmp_path):
+    spec = SyntheticSpec(n_positive=1000, n_negative=2000, dimension=200, seed=1)
+    ds, path = generate_synthetic(spec).dataset, tmp_path / "ds.json"
+    tracemalloc.start()
+    try:
+        save_dataset(ds, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.2 MB written; a writer that builds the whole text peaks above twice that
+    assert peak < 0.25 * path.stat().st_size
