@@ -8,12 +8,17 @@ Three learners share the score_matrix(X) -> [0, 1]^n contract:
   * bagged random forest of such trees with per-node feature subsampling
 
 Trees grow level by level, as in XGBoost (Chen & Guestrin, KDD 2016) and
-LightGBM (Ke et al., NeurIPS 2017): all nodes of a depth are split by one set
-of array operations over (distinct row, bootstrap count) pairs, with integer
-split counts, so a single tree is the one a node-by-node grower builds, bit
-for bit. The per-depth arrays the grower builds are the tree model itself:
-scoring and the nested model JSON both run depth by depth, with no node
-objects and no recursion. Models are written (serialize), never read back.
+LightGBM (Ke et al., NeurIPS 2017), and a forest grows them in blocks: one set
+of array operations splits all nodes of a depth, of every tree in the block,
+over (distinct row, bootstrap count) pairs. The split counts sum those counts
+held in the narrowest unsigned type that fits them, into int64, so they are
+exact integers and a single tree is the one a node-by-node grower builds, bit
+for bit. A block holds as many trees as keep its root's (row, candidate)
+pairs under a fixed cap, which bounds the grower's transient memory; the
+block size changes no byte of the model. The per-depth arrays the grower
+builds are the tree model itself: scoring and the nested model JSON both run
+depth by depth, with no node objects and no recursion. Models are written
+(serialize), never read back.
 
 Training is fully determined by (data, config, seed); each forest tree draws
 its RNG stream from (seed, tree_index) so tree-level parallelism could never
@@ -235,35 +240,66 @@ def _draw_candidates(rng: np.random.Generator, m: int, d: int, k: int) -> np.nda
     return out
 
 
+def _gather(flat: np.ndarray, d: int, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """flat[rows[i] * d + cand[i, j]], row i's candidate features, in cand's shape.
+
+    cand is a fresh gather and is overwritten with the flat indices, which are
+    freed on return, before the block is counted.
+    """
+    cand += (rows * d)[:, None]
+    return flat.take(cand)
+
+
+# the most (row, candidate) pairs one block of trees gathers at its root, unless
+# one tree needs more; it bounds the grower's transient memory (4 trees of the
+# default 6400x200 fit)
+_GROW_BLOCK = 3 << 17
+
+
 def _grow_levels(
     XR: np.ndarray,
     y: np.ndarray,
-    rows: np.ndarray,
-    weight: np.ndarray,
+    trees: list[tuple[np.ndarray, np.ndarray, Optional[np.random.Generator]]],
     params: TreeParams,
     k: Optional[int],
-    rng: Optional[np.random.Generator],
-) -> Levels:
-    """Grow a tree's levels one depth at a time on `rows`, distinct row indices of the
-    fit's data, row rows[i] standing for weight[i] copies (its bootstrap count).
+) -> list[Levels]:
+    """Grow a block of trees together, one depth at a time, and return each
+    tree's levels. Tree t grows on trees[t] = (rows, weight, rng): distinct
+    row indices of the fit's data, row rows[i] standing for weight[i] copies
+    (its bootstrap count), and the generator of its candidate draws.
 
-    XR is the (n, d) row-major bool data and y its 0/1 labels. With k None (or
-    k >= d) every feature is a candidate at every node; else the nodes of a
-    depth that may split draw k features each, in one _draw_candidates call,
-    left to right. Every count is an integer sum, so the gains are those a
+    XR is the (n, d) row-major bool data and y its 0/1 labels. A depth's nodes
+    are all of the block's, tree after tree, each tree's left to right; `owner`
+    maps each node to its tree, and a tree's level is a slice of the depth's
+    arrays. With k None (or k >= d) every feature is a candidate at every node;
+    else each tree with nodes that may split draws k features for each of them
+    in one _draw_candidates call on its own generator, left to right, so no
+    tree's draws depend on the block it grows in. The split counts sum each
+    row's weight, held in the narrowest unsigned type that fits the largest,
+    into int64: every count is an exact integer, so the gains are those a
     node-by-node grower computes, bit for bit, and ties go to the lowest
     feature index.
     """
     d = XR.shape[1]
     flat = XR.reshape(-1)
     all_features = k is None or k >= d
-    node = np.zeros(len(rows), dtype=np.int64)  # each row's node, in its depth's order
-    sizes = np.array([weight.sum()])  # per node: rows with multiplicity, and positives
-    pos = np.array([weight @ y[rows]])
-    levels: Levels = []
+    lengths = [len(rows) for rows, _, _ in trees]
+    rows = np.concatenate([rows for rows, _, _ in trees])
+    weight = np.concatenate([weight for _, weight, _ in trees])
+    node = np.repeat(np.arange(len(trees)), lengths)  # each row's node, in its depth's order
+    owner = np.arange(len(trees))  # each node's tree
+    first = np.cumsum(lengths) - lengths
+    sizes = np.add.reduceat(weight, first)  # per node: rows with multiplicity, and positives
+    pos = np.add.reduceat(weight * y[rows], first)
+    weight = weight.astype(np.min_scalar_type(weight.max()))
+    levels: list[Levels] = [[] for _ in trees]
     for depth in itertools.count():
         feature = np.full(len(sizes), -1)
-        levels.append((feature, (pos + 1) / (sizes + 2)))
+        prob = (pos + 1) / (sizes + 2)
+        bounds = np.searchsorted(owner, np.arange(len(trees) + 1)).tolist()
+        for tree, a, b in zip(levels, bounds, bounds[1:]):
+            if a < b:
+                tree.append((feature[a:b], prob[a:b]))
         grows = (pos > 0) & (pos < sizes) & (sizes >= 2 * params.min_leaf)
         if depth >= params.max_depth or d == 0 or not grows.any():  # d == 0: nothing to split on
             break
@@ -287,11 +323,13 @@ def _grow_levels(
             cand = None
             block = XR.take(rows, axis=0)
         else:
-            cand = _draw_candidates(rng, m, d, k)
-            at = cand.take(member, axis=0)
-            at += (rows * d)[:, None]
-            block = flat.take(at)
-        counts = np.add.reduceat(block * weight[:, None], starts, axis=0)
+            per_tree = np.bincount(owner[g], minlength=len(trees)).tolist()
+            cand = np.concatenate([
+                _draw_candidates(rng, count, d, k)
+                for (_, _, rng), count in zip(trees, per_tree) if count
+            ])
+            block = _gather(flat, d, rows, cand.take(member, axis=0))
+        counts = np.add.reduceat(block * weight[:, None], starts, axis=0, dtype=np.int64)
         pos1 = counts[1::2]
         n1 = counts[::2] + pos1
         n, p = sizes[g, None], pos[g, None]
@@ -309,6 +347,7 @@ def _grow_levels(
         # children: each split node's absent then present child, left to right
         sizes = np.column_stack([n0[chosen], n1[chosen]])[splits].ravel()
         pos = np.column_stack([pos0[chosen], pos1[chosen]])[splits].ravel()
+        owner = np.repeat(owner[g[splits]], 2)
         keep = splits[member]
         rows, weight, member = rows[keep], weight[keep], member[keep]
         present = flat.take(rows * d + feat[member])
@@ -364,13 +403,28 @@ class TreeModel(ProbabilisticClassifier):
     def fit(cls, X: BinaryMatrix, y: np.ndarray, params: TreeParams) -> "TreeModel":
         y = _validate_training_input(X, y)
         n = len(y)
-        ones = np.ones(n, dtype=np.int64)
-        levels = _grow_levels(X.bool_rows, y, np.arange(n), ones, params, None, None)
-        return cls(levels, X.shape[1])
+        tree = np.arange(n), np.ones(n, dtype=np.int64), None
+        return cls(_grow_levels(X.bool_rows, y, [tree], params, None)[0], X.shape[1])
 
 
 # ---------------------------------------------------------------------------
 # random forest
+
+
+def _resample(
+    y: np.ndarray, seed: int, t: int, bootstrap: bool
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """Tree t's rows and bootstrap counts, drawn from its own stream (seed, t)."""
+    n = len(y)
+    rng = np.random.default_rng([seed, t])
+    rows, weight = np.arange(n), np.ones(n, dtype=np.int64)
+    if bootstrap:
+        idx = rng.integers(0, n, size=n)
+        if len(np.unique(y[idx])) >= 2:  # else degenerate: keep the full data
+            weight = np.bincount(idx, minlength=n)
+            rows = np.flatnonzero(weight)
+            weight = weight[rows]
+    return rows, weight, rng
 
 
 class ForestModel(ProbabilisticClassifier):
@@ -410,18 +464,14 @@ class ForestModel(ProbabilisticClassifier):
             k = params.features_per_split
             if k > d:
                 raise TrainingError("features_per_split exceeds the dimension")
+        # a block's trees gather at most n * k (row, candidate) pairs each at the root
+        step = max(1, _GROW_BLOCK // max(1, n * k))
         trees: list[TreeModel] = []
-        for t in range(params.n_trees):
-            rng = np.random.default_rng([seed, t])
-            rows, weight = np.arange(n), np.ones(n, dtype=np.int64)
-            if params.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                if len(np.unique(y[idx])) >= 2:  # else degenerate: keep the full data
-                    weight = np.bincount(idx, minlength=n)
-                    rows = np.flatnonzero(weight)
-                    weight = weight[rows]
-            levels = _grow_levels(X.bool_rows, y, rows, weight, tree_params, k, rng)
-            trees.append(TreeModel(levels, d))
+        for start in range(0, params.n_trees, step):
+            block = [_resample(y, seed, t, params.bootstrap)
+                     for t in range(start, min(start + step, params.n_trees))]
+            trees += [TreeModel(levels, d)
+                      for levels in _grow_levels(X.bool_rows, y, block, tree_params, k)]
         return cls(trees, d)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,19 @@ class TestGrowerOracle:
         assert fallbacks > 0
         assert got.serialize() == expected
 
+    @settings(deadline=None, max_examples=100)
+    @given(_grow_problem(), st.integers(min_value=2, max_value=6000))
+    def test_block_size_moves_no_byte(self, problem, block):
+        # one tree per block, a drawn cap on a block's root (row, candidate)
+        # pairs, and every tree in one block; _ref_forest also asserts that
+        # each tree's replay took every draw the package made
+        X, y, tree, forest, seed = problem
+        for size in (1, block, 1 << 62):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classifiers, "_GROW_BLOCK", size)
+                got, expected, _ = _fit_and_replay(X, y, forest, tree, seed)
+            assert got.serialize() == expected
+
     @pytest.mark.parametrize("seed, digest", [
         (0, "65f632efbc84f0121e7fb8132e5263c4a73b28b1d3744a921581498613dfbcfb"),
         (1, "8eeaaa8b520b4411d3acde3322e28e572bee2efe581acbf6c2088c3dd8bf1360"),
@@ -386,6 +400,42 @@ class TestGrowerOracle:
         y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(2000) < 0.1)
         model = ForestModel.fit(matrix_of(X), y, ForestParams(n_trees=10), TreeParams(), seed)
         assert hashlib.sha256(model.serialize().encode()).hexdigest() == digest
+
+
+class TestBlockGrower:
+    @pytest.mark.parametrize("low, high", [(1, 255), (256, 65535), (65536, 70000)])
+    def test_narrow_counts_stay_exact(self, low, high):
+        # bootstrap counts held in uint8 (whose sums pass 255), uint16 and uint32:
+        # the tree is the reference tree of the matrix with each row repeated
+        rng = np.random.default_rng(high)
+        X = (rng.random((8, 3)) < 0.5).astype(float)
+        X[:2] = [[0, 0, 0], [1, 1, 1]]  # every feature takes both values
+        y = np.array([0, 1] * 4)
+        weight = rng.integers(low, high, size=8, endpoint=True)
+        params = TreeParams(max_depth=3, min_leaf=1)
+        sample = np.arange(8), weight, None
+        [levels] = classifiers._grow_levels(matrix_of(X).bool_rows, y, [sample], params, None)
+        assert len(levels) > 1  # the root splits, so the counts shape its children
+        expected = _ref_tree(np.repeat(X, weight, axis=0), np.repeat(y, weight), params)
+        assert TreeModel(levels, 3).serialize() == expected
+
+    def test_transient_memory_is_bounded(self):
+        # 6400x200, about 12% dense, 100 bootstrap trees with sqrt(d) candidates:
+        # blocks of at most _GROW_BLOCK root pairs peak near 6 MB here, and one
+        # block of all 100 trees near 80 MB
+        rng = np.random.default_rng(0)
+        X = rng.random((6400, 200)) < 0.11
+        X[:, :8] = rng.random((6400, 8)) < 0.3
+        y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(6400) < 0.1)
+        X = matrix_of(X)
+        X.bool_rows  # the grower's cached input, not its transient memory
+        tracemalloc.start()
+        try:
+            ForestModel.fit(X, y, ForestParams(n_trees=100), TreeParams(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCandidateDraw:

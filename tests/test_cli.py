@@ -489,15 +489,18 @@ class TestBlasThreads:
         env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
+        # importing the CLI loads no numpy.random either (about 20 ms of every
+        # command's start): the package reaches it only when it draws
         script = (
             "import os, sys; import pudroid; print('numpy' in sys.modules); "
-            "import pudroid.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+            "import pudroid.cli; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+            "print('numpy.random' in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", expected]
+        assert proc.stdout.split() == ["False", expected, "False"]
 
 
 class TestSeedDefault:
