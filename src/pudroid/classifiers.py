@@ -10,15 +10,19 @@ Three learners share the score_matrix(X) -> [0, 1]^n contract:
 Trees grow level by level, as in XGBoost (Chen & Guestrin, KDD 2016) and
 LightGBM (Ke et al., NeurIPS 2017), and a forest grows them in blocks: one set
 of array operations splits all nodes of a depth, of every tree in the block,
-over (distinct row, bootstrap count) pairs. The split counts sum those counts
-held in the narrowest unsigned type that fits them, into int64, so they are
-exact integers and a single tree is the one a node-by-node grower builds, bit
-for bit. A block holds as many trees as keep its root's (row, candidate)
-pairs under a fixed cap, which bounds the grower's transient memory; the
-block size changes no byte of the model. The per-depth arrays the grower
-builds are the tree model itself: scoring and the nested model JSON both run
-depth by depth, with no node objects and no recursion. Models are written
-(serialize), never read back.
+over (distinct row, bootstrap count) pairs. The split counts are summed in the
+narrowest unsigned type that holds a root's weighted size, which no count
+exceeds, and only the per-depth sums are widened to int64: they are exact
+integers, so a single tree is the one a node-by-node grower builds, bit for
+bit. A block holds as many trees as keep its root's (row, candidate) pairs
+under a fixed cap, which bounds the grower's transient memory; the block size
+changes no byte of the model. The per-depth arrays the grower builds are the
+tree model itself, and the nested model JSON is built from them depth by
+depth. Trees and forests score through one node table, built from the levels
+on first use (each node's feature, probability and two children, a leaf its
+own children), which a block of trees walks together one depth per step:
+no node objects and no recursion. A tree scores as a forest of one. Models
+are written (serialize), never read back.
 
 Training is fully determined by (data, config, seed); each forest tree draws
 its RNG stream from (seed, tree_index) so tree-level parallelism could never
@@ -35,7 +39,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -114,12 +119,16 @@ class TrainConfig:
 
 
 def _validate_training_input(X: BinaryMatrix, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if len(y) != X.shape[0]:
         raise TrainingError("X must be (n, d) with one target per row")
     if X.shape[0] == 0:
         raise TrainingError("empty training set")
-    if len(np.unique(y)) < 2:
+    bad = (y != 0) & (y != 1)  # NaN included
+    if bad.any():
+        raise TrainingError(f"targets must be 0 or 1, got {y[bad.argmax()].item()!r}")
+    y = y.astype(np.int64)
+    if not 0 < y.sum() < len(y):
         raise TrainingError("degenerate target: only one class present")
     return y
 
@@ -275,10 +284,11 @@ def _grow_levels(
     else each tree with nodes that may split draws k features for each of them
     in one _draw_candidates call on its own generator, left to right, so no
     tree's draws depend on the block it grows in. The split counts sum each
-    row's weight, held in the narrowest unsigned type that fits the largest,
-    into int64: every count is an exact integer, so the gains are those a
-    node-by-node grower computes, bit for bit, and ties go to the lowest
-    feature index.
+    row's weight (the 0/1 block itself when every weight is 1) in the
+    narrowest unsigned type that holds the largest root size, which no count
+    exceeds, and only the (2m, k) sums are widened to int64: every count is
+    an exact integer, so the gains are those a node-by-node grower computes,
+    bit for bit, and ties go to the lowest feature index.
     """
     d = XR.shape[1]
     flat = XR.reshape(-1)
@@ -291,7 +301,9 @@ def _grow_levels(
     first = np.cumsum(lengths) - lengths
     sizes = np.add.reduceat(weight, first)  # per node: rows with multiplicity, and positives
     pos = np.add.reduceat(weight * y[rows], first)
+    unit = weight.max() == 1  # every row counts once: the block is its own product
     weight = weight.astype(np.min_scalar_type(weight.max()))
+    count_type = np.min_scalar_type(sizes.max())  # no count exceeds its tree's root size
     levels: list[Levels] = [[] for _ in trees]
     for depth in itertools.count():
         feature = np.full(len(sizes), -1)
@@ -329,7 +341,9 @@ def _grow_levels(
                 for (_, _, rng), count in zip(trees, per_tree) if count
             ])
             block = _gather(flat, d, rows, cand.take(member, axis=0))
-        counts = np.add.reduceat(block * weight[:, None], starts, axis=0, dtype=np.int64)
+        counts = np.add.reduceat(
+            block.view(np.uint8) if unit else block * weight[:, None], starts, axis=0, dtype=count_type
+        ).astype(np.int64)
         pos1 = counts[1::2]
         n1 = counts[::2] + pos1
         n, p = sizes[g, None], pos[g, None]
@@ -368,28 +382,81 @@ def _tree_dict(levels: Levels) -> dict:
     return below[0]
 
 
+class _NodeTable(NamedTuple):
+    """The nodes of some trees, numbered tree after tree, depth after depth,
+    left to right. Node i reads feature[i] and moves to child[2 * i + present];
+    a leaf reads feature 0 and is both of its children, so a walk that goes on
+    past it stays there."""
+
+    feature: np.ndarray
+    prob: np.ndarray
+    child: np.ndarray
+    root: np.ndarray  # each tree's root node
+    depth: np.ndarray  # each tree's depth: the steps that take every row to a leaf
+
+
+def _node_table(trees: list[Levels]) -> _NodeTable:
+    """The node table of trees, each given by its levels."""
+    levels = [level for tree in trees for level in tree]
+    sizes = np.array([len(f) for f, _ in levels])
+    feature = np.concatenate([f for f, _ in levels])
+    split = feature >= 0
+    first = np.cumsum(sizes) - sizes  # each level's first node
+    left = np.cumsum(split) - split  # the split nodes before each node
+    rank = left - np.repeat(left[first], sizes)  # ... in its own level
+    # a level's split nodes own the next level's nodes in pairs, absent child first
+    absent = np.where(split, np.repeat(first + sizes, sizes) + 2 * rank, np.arange(len(split)))
+    depth = np.array([len(tree) - 1 for tree in trees])
+    nodes = np.add.reduceat(sizes, np.cumsum(depth + 1) - depth - 1)  # per tree
+    return _NodeTable(
+        np.maximum(feature, 0),
+        np.concatenate([p for _, p in levels]),
+        np.column_stack([absent, absent + split]).ravel(),
+        np.cumsum(nodes) - nodes,
+        depth,
+    )
+
+
+# the most (tree, row) pairs one scoring pass walks, unless one tree's rows are more
+_SCORE_BLOCK = 1 << 15
+
+
+def _score_trees(table: _NodeTable, X: BinaryMatrix) -> np.ndarray:
+    """The mean of the trees' leaf probabilities per row of X.
+
+    A pass walks a block of trees over all rows, every (tree, row) pair one
+    step per depth of the block's deepest tree; each tree's probabilities are
+    added in tree order, so the block size moves no bit of a score.
+    """
+    n, d = X.shape
+    flat = X.bool_rows.reshape(-1)
+    total = np.zeros(n)
+    step = max(1, _SCORE_BLOCK // max(1, n))
+    starts = np.arange(n) * d
+    for a in range(0, len(table.root), step):
+        root, depth = table.root[a:a + step], table.depth[a:a + step]
+        node = np.repeat(root, n)
+        at = np.tile(starts, len(root))
+        for _ in range(depth.max()):
+            present = flat.take(at + table.feature.take(node))
+            node = table.child.take(2 * node + present)
+        for prob in table.prob.take(node).reshape(len(root), n):
+            total += prob
+    return total / len(table.root)
+
+
 class TreeModel(ProbabilisticClassifier):
     def __init__(self, levels: Levels, dimension: int):
         self.levels = levels
         self.dimension = dimension
 
+    @cached_property
+    def _nodes(self) -> _NodeTable:
+        return _node_table([self.levels])
+
     def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
-        """Depth by depth, the rows at a leaf take its probability and the
-        others move to their child, as in the grower: no recursion."""
         self._check_dim(X)
-        flat = X.bool_rows.reshape(-1)
-        out = np.empty(X.shape[0])
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        for feature, prob in self.levels:
-            f = feature.take(node)
-            leaf = f < 0
-            if leaf.any():
-                out[rows[leaf]] = prob.take(node[leaf])
-                inner = np.flatnonzero(~leaf)
-                rows, node, f = rows.take(inner), node.take(inner), f.take(inner)
-            node = _child_index(feature >= 0, node, flat.take(rows * self.dimension + f))
-        return out
+        return _score_trees(self._nodes, X)
 
     def to_dict(self) -> dict:
         return {
@@ -420,10 +487,10 @@ def _resample(
     rows, weight = np.arange(n), np.ones(n, dtype=np.int64)
     if bootstrap:
         idx = rng.integers(0, n, size=n)
-        if len(np.unique(y[idx])) >= 2:  # else degenerate: keep the full data
-            weight = np.bincount(idx, minlength=n)
-            rows = np.flatnonzero(weight)
-            weight = weight[rows]
+        counts = np.bincount(idx, minlength=n)
+        if 0 < counts @ y < n:  # both classes drawn; else degenerate: keep the full data
+            rows = np.flatnonzero(counts)
+            weight = counts[rows]
     return rows, weight, rng
 
 
@@ -432,12 +499,13 @@ class ForestModel(ProbabilisticClassifier):
         self.trees = trees
         self.dimension = dimension
 
+    @cached_property
+    def _nodes(self) -> _NodeTable:
+        return _node_table([tree.levels for tree in self.trees])
+
     def score_matrix(self, X: BinaryMatrix) -> np.ndarray:
-        self._check_dim(X)  # every tree reads the one cached X.bool_rows
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.score_matrix(X)
-        return total / len(self.trees)
+        self._check_dim(X)
+        return _score_trees(self._nodes, X)
 
     def to_dict(self) -> dict:
         return {

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from pudroid import classifiers
 from pudroid.features import BinaryMatrix, FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
+
+# `pytest --hypothesis-profile=ci`: a failing property prints the blob that
+# replays its example with @reproduce_failure
+settings.register_profile("ci", print_blob=True)
 
 
 def space_of(n: int, kind: FeatureKind = FeatureKind.API) -> FeatureSpace:

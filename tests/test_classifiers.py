@@ -402,6 +402,18 @@ class TestGrowerOracle:
         assert hashlib.sha256(model.serialize().encode()).hexdigest() == digest
 
 
+def _benchmark_like(n: int):
+    """(matrix with its bool rows cached, labels): n x 200, about 12% dense,
+    labels from 8 planted features plus 10% noise."""
+    rng = np.random.default_rng(0)
+    X = rng.random((n, 200)) < 0.11
+    X[:, :8] = rng.random((n, 8)) < 0.3
+    y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(n) < 0.1)
+    X = matrix_of(X)
+    X.bool_rows  # the learner's cached input, not its transient memory
+    return X, y
+
+
 class TestBlockGrower:
     @pytest.mark.parametrize("low, high", [(1, 255), (256, 65535), (65536, 70000)])
     def test_narrow_counts_stay_exact(self, low, high):
@@ -419,16 +431,43 @@ class TestBlockGrower:
         expected = _ref_tree(np.repeat(X, weight, axis=0), np.repeat(y, weight), params)
         assert TreeModel(levels, 3).serialize() == expected
 
+    @pytest.mark.parametrize("total", [255, 256, 65535, 65536])
+    def test_counts_at_the_accumulator_boundaries(self, total):
+        # the counts are summed in the narrowest type that holds the root's
+        # weighted size: uint8 up to 255, uint16 up to 65535, then uint32. Row
+        # 1, a positive with every feature, carries all but 7 of the weight, so
+        # the root's positive counts come within a few of its size
+        rng = np.random.default_rng(total)
+        X = (rng.random((8, 3)) < 0.5).astype(float)
+        X[:2] = [[0, 0, 0], [1, 1, 1]]
+        y = np.array([0, 1] * 4)
+        weight = np.ones(8, dtype=np.int64)
+        weight[1] = total - 7
+        params = TreeParams(max_depth=3, min_leaf=1)
+        sample = np.arange(8), weight, None
+        [levels] = classifiers._grow_levels(matrix_of(X).bool_rows, y, [sample], params, None)
+        assert len(levels) > 1 and levels[0][1][0] == (weight @ y + 1) / (total + 2)
+        expected = _ref_tree(np.repeat(X, weight, axis=0), np.repeat(y, weight), params)
+        assert TreeModel(levels, 3).serialize() == expected
+
+    def test_tree_transient_memory_is_bounded(self):
+        # 6400x200, about 12% dense: every feature is a candidate at every node,
+        # and its 0/1 block is counted without a wide copy (14.4 MB when the
+        # block was cast to int64 to be counted)
+        X, y = _benchmark_like(6400)
+        tracemalloc.start()
+        try:
+            TreeModel.fit(X, y, TreeParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_transient_memory_is_bounded(self):
         # 6400x200, about 12% dense, 100 bootstrap trees with sqrt(d) candidates:
         # blocks of at most _GROW_BLOCK root pairs peak near 6 MB here, and one
         # block of all 100 trees near 80 MB
-        rng = np.random.default_rng(0)
-        X = rng.random((6400, 200)) < 0.11
-        X[:, :8] = rng.random((6400, 8)) < 0.3
-        y = (X[:, :8].sum(axis=1) >= 2).astype(np.int64) ^ (rng.random(6400) < 0.1)
-        X = matrix_of(X)
-        X.bool_rows  # the grower's cached input, not its transient memory
+        X, y = _benchmark_like(6400)
         tracemalloc.start()
         try:
             ForestModel.fit(X, y, ForestParams(n_trees=100), TreeParams(), 0)
@@ -552,6 +591,27 @@ class TestLevelScorer:
         some = np.r_[0:D + 1:97, D]
         assert _walk(model.to_dict()["root"], X.bool_rows[some]) == expected[some].tolist()
 
+    @settings(deadline=None, max_examples=100)
+    @given(problem=_grow_problem(), block=st.integers(2, 2000), extra=st.integers(0, 2**32 - 1))
+    def test_score_block_size_moves_no_byte(self, problem, block, extra):
+        # trees and forests share one node-table scorer, here with one (tree,
+        # row) pair per pass, a drawn cap on them, and every tree in one pass
+        X, y, tree, forest, seed = problem
+        rng = np.random.default_rng(extra)
+        Z = np.vstack([X, rng.random((10, X.shape[1])) < 0.5])  # rows the fit never saw
+        MZ, empty = matrix_of(Z), matrix_of(np.zeros((0, X.shape[1])))
+        single = TreeModel.fit(matrix_of(X), y, tree)
+        bagged = ForestModel.fit(matrix_of(X), y, forest, tree, seed)
+        walks = [_walk(t, Z) for t in json.loads(bagged.serialize())["trees"]]
+        expected = [sum(v) / forest.n_trees for v in zip(*walks)]  # summed in tree order
+        for size in (1, block, 1 << 62):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classifiers, "_SCORE_BLOCK", size)
+                assert single.score_matrix(MZ).tolist() == _walk(single.to_dict()["root"], Z)
+                assert bagged.score_matrix(MZ).tolist() == expected
+                for model in (single, bagged):
+                    assert model.score_matrix(empty).shape == (0,)
+
 
 class TestCommonSurface:
     def test_train_dispatch(self):
@@ -566,6 +626,18 @@ class TestCommonSurface:
         X = matrix_of(np.ones((4, 2)))
         with pytest.raises(TrainingError, match="degenerate"):
             train(X, np.ones(4), TrainConfig(learner=Learner.LINEAR))
+
+    @pytest.mark.parametrize("learner", list(Learner))
+    @pytest.mark.parametrize("bad, named", [(2, "2"), (-1, "-1"), (0.5, "0.5"), (math.nan, "nan")])
+    def test_targets_must_be_zero_or_one(self, learner, bad, named):
+        # a tree once scored every row 0.95 on y in {0, 2}, and a forest failed
+        # with a numpy broadcast error on y in {-1, 0, 1}; the first bad value is named
+        X, y = _xor_free_problem(np.random.default_rng(8))
+        y = y.astype(type(bad))
+        y[[3, 5]] = bad, 3
+        cfg = TrainConfig(learner=learner, forest=ForestParams(n_trees=2))
+        with pytest.raises(TrainingError, match=f"0 or 1, got {named}$"):
+            train(X, y, cfg)
 
     @pytest.mark.parametrize("make, named", [
         (lambda: LinearParams(learning_rate=float("inf")), "learning_rate"),
