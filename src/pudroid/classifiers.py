@@ -15,8 +15,9 @@ narrowest unsigned type that holds a root's weighted size, which no count
 exceeds, and only the per-depth sums are widened to int64: they are exact
 integers, so a single tree is the one a node-by-node grower builds, bit for
 bit. A block holds as many trees as keep its root's (row, candidate) pairs
-under a fixed cap, which bounds the grower's transient memory; the block size
-changes no byte of the model. The per-depth arrays the grower builds are the
+under a fixed cap, and a tree that splits on every feature counts column
+chunks under the same cap, which bounds the grower's transient memory; neither
+changes a byte of the model. The per-depth arrays the grower builds are the
 tree model itself, and the nested model JSON is built from them depth by
 depth. Trees and forests score through one node table, built from the levels
 on first use (each node's feature, probability and two children, a leaf its
@@ -260,8 +261,9 @@ def _gather(flat: np.ndarray, d: int, rows: np.ndarray, cand: np.ndarray) -> np.
 
 
 # the most (row, candidate) pairs one block of trees gathers at its root, unless
-# one tree needs more; it bounds the grower's transient memory (4 trees of the
-# default 6400x200 fit)
+# one tree needs more, and the most cells one count of an every-feature tree
+# reads, unless one column holds more; it bounds the grower's transient memory
+# (4 trees of the default 6400x200 fit)
 _GROW_BLOCK = 3 << 17
 
 
@@ -283,10 +285,12 @@ def _grow_levels(
     arrays. With k None (or k >= d) every feature is a candidate at every node;
     else each tree with nodes that may split draws k features for each of them
     in one _draw_candidates call on its own generator, left to right, so no
-    tree's draws depend on the block it grows in. The split counts sum each
-    row's weight (the 0/1 block itself when every weight is 1) in the
-    narrowest unsigned type that holds the largest root size, which no count
-    exceeds, and only the (2m, k) sums are widened to int64: every count is
+    tree's draws depend on the block it grows in; with every feature a
+    candidate, the rows are counted in column chunks of at most _GROW_BLOCK
+    cells (one column, if it holds more), never copied whole. The split
+    counts sum each row's weight (the 0/1 block itself when every weight is
+    1) in the narrowest unsigned type that holds the largest root size, which
+    no count exceeds, and only the (2m, k) sums are widened to int64: every count is
     an exact integer, so the gains are those a node-by-node grower computes,
     bit for bit, and ties go to the lowest feature index.
     """
@@ -331,19 +335,22 @@ def _grow_levels(
         starts = np.cumsum(seg) - seg
         # per (node, candidate): the rows with the candidate present, and the
         # positive ones among them
-        if all_features:
+        if all_features:  # a generator: one chunk is alive at a time
             cand = None
-            block = XR.take(rows, axis=0)
+            step = max(1, _GROW_BLOCK // len(rows))
+            blocks = (XR[rows, j:j + step] for j in range(0, d, step))
         else:
             per_tree = np.bincount(owner[g], minlength=len(trees)).tolist()
             cand = np.concatenate([
                 _draw_candidates(rng, count, d, k)
                 for (_, _, rng), count in zip(trees, per_tree) if count
             ])
-            block = _gather(flat, d, rows, cand.take(member, axis=0))
-        counts = np.add.reduceat(
-            block.view(np.uint8) if unit else block * weight[:, None], starts, axis=0, dtype=count_type
-        ).astype(np.int64)
+            blocks = [_gather(flat, d, rows, cand.take(member, axis=0))]
+        counts = np.concatenate([
+            np.add.reduceat(block.view(np.uint8) if unit else block * weight[:, None],
+                            starts, axis=0, dtype=count_type)
+            for block in blocks
+        ], axis=1).astype(np.int64)
         pos1 = counts[1::2]
         n1 = counts[::2] + pos1
         n, p = sizes[g, None], pos[g, None]

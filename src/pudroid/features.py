@@ -2,12 +2,15 @@
 0/1 matrix the learners work on.
 
 Everything here is immutable after construction and safe to share between
-threads; a matrix caches views derived from its arrays on first use. No I/O.
+threads; a matrix caches views derived from its arrays on first use. A
+dataset holds each row once: `PUDataset.samples` is P then U in one block
+whose arrays are read-only, and its `positives` and `unlabeled` are views of
+that block's row ranges. No I/O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -135,17 +138,28 @@ class SampleRows:
         ids = tuple(map(self.ids.__getitem__, rows.tolist()))
         return SampleRows(ids, indptr, indices, self.hidden[rows])
 
+    def between(self, start: int, stop: int) -> SampleRows:
+        """Rows start to stop - 1, sharing this block's indices and hidden; only
+        indptr is rebased into a new array when start > 0."""
+        a, b = self.indptr[start], self.indptr[stop]
+        indptr = self.indptr[start:stop + 1] - a if a else self.indptr[start:stop + 1]
+        return SampleRows(self.ids[start:stop], indptr, self.indices[a:b], self.hidden[start:stop])
+
 
 @dataclass(frozen=True, eq=False)
 class PUDataset:
     """Samples partitioned into positive group P (z=1) and unlabeled group U (z=0).
 
     Group membership is the label z: a sample's group is all the learner sees.
+    The rows are held once, in `samples` (P then U, read-only arrays);
+    `positives` and `unlabeled` are rebound to views of its row ranges, so the
+    groups passed in can be dropped.
     """
 
     space: FeatureSpace
     positives: SampleRows
     unlabeled: SampleRows
+    samples: SampleRows = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         benign = np.flatnonzero(self.positives.hidden == 0)
@@ -154,7 +168,7 @@ class PUDataset:
                 f"sample {self.positives.ids[benign[0]]!r}: "
                 "a known-benign sample cannot be labeled positive"
             )
-        rows, d = self.samples, self.space.dimension
+        rows, d = self.positives + self.unlabeled, self.space.dimension
         if len(set(rows.ids)) != len(rows):
             raise DatasetError("sample ids must be unique across P and U")
         outside = np.flatnonzero(rows.indices >= d)
@@ -163,11 +177,12 @@ class PUDataset:
             raise DimensionError(
                 f"sample {rows.ids[row]!r} has feature index outside space of dimension {d}"
             )
-
-    @cached_property
-    def samples(self) -> SampleRows:
-        """P then U."""
-        return self.positives + self.unlabeled
+        n_p = len(self.positives)
+        groups = rows, rows.between(0, n_p), rows.between(n_p, len(rows))
+        for name, group in zip(("samples", "positives", "unlabeled"), groups):
+            for array in (group.indptr, group.indices, group.hidden):
+                array.flags.writeable = False
+            object.__setattr__(self, name, group)
 
 
 def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
@@ -200,7 +215,8 @@ class BinaryMatrix:
     train and score on. Row i is 1 at indices[indptr[i]:indptr[i + 1]].
 
     The products and the bool view are built from the CSR arrays on first use
-    and cached, so the sparse-to-matrix step costs no copy.
+    and cached, so the sparse-to-matrix step costs no copy; the row index of
+    each stored one that they need is built per use and not kept.
     """
 
     indptr: np.ndarray  # int64, n + 1
@@ -237,12 +253,11 @@ class BinaryMatrix:
     def bool_rows(self) -> np.ndarray:
         """(n, dimension) C-contiguous bool matrix, for the tree grower and scorer."""
         out = np.zeros(self.shape, dtype=bool)
-        out[self._row_of, self.indices] = True
+        out[self._row_of(), self.indices] = True
         return out
 
-    @cached_property
     def _row_of(self) -> np.ndarray:
-        """Row index of each stored one."""
+        """Row index of each stored one, a fresh array per call."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @cached_property
@@ -257,4 +272,4 @@ class BinaryMatrix:
         order = np.argsort(self.indices, kind="stable")
         colptr = offsets(np.bincount(self.indices, minlength=self.dimension))
         cols = np.flatnonzero(np.diff(colptr))
-        return cols, colptr[cols], self._row_of[order]
+        return cols, colptr[cols], self._row_of()[order]

@@ -221,6 +221,8 @@ def protocol_rq4(
 
     if ratio == 0:
         m, k = len(pos_tr), 0
+    elif ratio <= 0.5:  # no m > 0 lets mislabeled benign outnumber the retained ones
+        m, k = 0, 0
     else:
         # sized so mislabeled benign outnumber retained benign by m; at exact
         # parity tie leaves all tip to the benign side and the no-PU baseline

@@ -379,13 +379,16 @@ class TestGrowerOracle:
     def test_block_size_moves_no_byte(self, problem, block):
         # one tree per block, a drawn cap on a block's root (row, candidate)
         # pairs, and every tree in one block; _ref_forest also asserts that
-        # each tree's replay took every draw the package made
+        # each tree's replay took every draw the package made. A single tree
+        # counts its features in column chunks of at most the same cap
         X, y, tree, forest, seed = problem
         for size in (1, block, 1 << 62):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(classifiers, "_GROW_BLOCK", size)
                 got, expected, _ = _fit_and_replay(X, y, forest, tree, seed)
+                single = TreeModel.fit(matrix_of(X), y, tree).serialize()
             assert got.serialize() == expected
+            assert single == _ref_tree(X, y, tree)
 
     @pytest.mark.parametrize("seed, digest", [
         (0, "65f632efbc84f0121e7fb8132e5263c4a73b28b1d3744a921581498613dfbcfb"),
@@ -455,6 +458,22 @@ class TestBlockGrower:
         # and its 0/1 block is counted without a wide copy (14.4 MB when the
         # block was cast to int64 to be counted)
         X, y = _benchmark_like(6400)
+        tracemalloc.start()
+        try:
+            TreeModel.fit(X, y, TreeParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_wide_tree_counts_in_column_chunks(self):
+        # 2000x2000, about 1% dense, bool rows built inside the fit (4 MB): the
+        # counts read at most _GROW_BLOCK cells at a time (16.4 MB when the
+        # root's whole row block was copied and cast to uint16)
+        rng = np.random.default_rng(0)
+        X = rng.random((2000, 2000)) < 0.01
+        y = (X[:, :8].sum(axis=1) >= 1).astype(np.int64) ^ (rng.random(2000) < 0.1)
+        X = matrix_of(X)
         tracemalloc.start()
         try:
             TreeModel.fit(X, y, TreeParams())

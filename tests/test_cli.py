@@ -479,6 +479,20 @@ class TestExitCodes:
         assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio, code", [("0.25", 2), ("0.5", 2), ("0.5000001", 0)])
+    def test_rq4_ratio_at_or_below_parity_is_infeasible(self, tmp_path, capsys, ratio, code):
+        # at 0.5 the sizing divides by 2 * ratio - 1 = 0; just above it every
+        # training positive is kept
+        out = tmp_path / "rq4.json"
+        argv = ["experiment", "--protocol", "rq4", "--ratio", ratio, "--n-positive", "30",
+                "--n-negative", "60", "--n-trees", "2", "--seed", "1", "--out", str(out)]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert f"error: ratio {ratio} is infeasible for this dataset\n" in err
+        assert out.exists() == (code == 0)
+
 
 class TestBlasThreads:
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -1,4 +1,5 @@
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_from_rows, matrix_of, pu_datasets, row_lists, rows_of, space_of
+from pudroid.datasets import dataset_from_dict, dataset_to_dict
 from pudroid.features import (
     BinaryMatrix,
     DatasetError,
@@ -15,6 +17,7 @@ from pudroid.features import (
     PUDataset,
     dense_matrix,
 )
+from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 
 class TestFeatureSpace:
@@ -104,6 +107,50 @@ class TestPUDataset:
         ds = dataset_from_rows([(0,)], [(1,)], 2)
         out = dense_matrix(ds.unlabeled, 2)
         assert out.tolist() == [[0, 1]]
+
+    def test_holds_its_rows_once(self):
+        base = generate_synthetic(SyntheticSpec(n_positive=500, n_negative=1500, seed=3)).dataset
+        rows, n_p = base.samples, len(base.positives)
+        p, u = np.arange(n_p), np.arange(n_p, len(rows))
+        tracemalloc.start()
+        try:
+            # the groups passed in are fresh and dropped once the dataset is built
+            ds = PUDataset(base.space, rows.take(p), rows.take(u))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        block = ds.samples
+        # the rest is the groups' id tuples and U's rebased indptr (2.08x when
+        # the dataset kept the groups and their concatenation)
+        assert retained <= 1.25 * (block.indptr.nbytes + block.indices.nbytes + block.hidden.nbytes)
+        for group in (ds.positives, ds.unlabeled):
+            assert np.shares_memory(group.indices, block.indices)
+            assert np.shares_memory(group.hidden, block.hidden)
+            for array in (block.indptr, block.indices, block.hidden,
+                          group.indptr, group.indices, group.hidden):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=pu_datasets(), data=st.data())
+    def test_groups_are_the_rows_passed_in(self, ds, data):
+        # a random P/U split of the rows, in a random order; either group may be
+        # empty, and P takes no known-benign sample
+        rows = ds.samples
+        eligible = np.flatnonzero(rows.hidden != 0).tolist()
+        p_rows = data.draw(st.lists(st.sampled_from(eligible), unique=True)) if eligible else []
+        u_rows = data.draw(st.permutations(sorted(set(range(len(rows))) - set(p_rows))))
+        p, u = rows.take(p_rows), rows.take(u_rows)
+        split = PUDataset(ds.space, p, u)
+        for given_rows, group in ((p, split.positives), (u, split.unlabeled)):
+            assert group.ids == given_rows.ids
+            for name in ("indptr", "indices", "hidden"):
+                assert getattr(group, name).dtype == np.int64
+                assert getattr(group, name).tolist() == getattr(given_rows, name).tolist()
+        doc = dataset_to_dict(split)
+        assert [s["id"] for s in doc["positives"] + doc["unlabeled"]] == list(p.ids + u.ids)
+        assert [s["on"] for s in doc["positives"] + doc["unlabeled"]] == row_lists(p) + row_lists(u)
+        assert dataset_to_dict(dataset_from_dict(doc)) == doc
 
 
 def _old_row_rule(row) -> str | None:
