@@ -63,8 +63,10 @@ def dataset_from_dict(data: dict) -> PUDataset:
             raise ValueError(f"dataset JSON: {path}[1] must be one of {sorted(KIND_OF)}, got {kind!r}")
         return _at(pair, 0, str, path), KIND_OF[kind]
 
-    def group(entries: list, path: str) -> SampleRows:
-        ids, rows, hidden = [], [], []
+    pairs, pos, unl = (_at(data, k, list, "$") for k in ("features", "positives", "unlabeled"))
+    space = FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs))))
+    ids, rows, hidden = [], [], []  # P's entries, then U's
+    for entries, path in ((pos, "$.positives"), (unl, "$.unlabeled")):
         for i in range(len(entries)):
             entry, at = _at(entries, i, dict, path), f"{path}[{i}]"
             on = _at(entry, "on", list, at)
@@ -76,14 +78,7 @@ def dataset_from_dict(data: dict) -> PUDataset:
             ids.append(_at(entry, "id", str, at))
             rows.append(on)
             hidden.append(h)
-        return SampleRows.build(ids, rows, hidden)
-
-    pairs, pos, unl = (_at(data, k, list, "$") for k in ("features", "positives", "unlabeled"))
-    return PUDataset(
-        FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs)))),
-        group(pos, "$.positives"),
-        group(unl, "$.unlabeled"),
-    )
+    return PUDataset(space, SampleRows.build(ids, rows, hidden), len(pos))
 
 
 def _write_array(fh: TextIO, items: Iterable[str]) -> None:

@@ -3,14 +3,14 @@
 
 Everything here is immutable after construction and safe to share between
 threads; a matrix caches views derived from its arrays on first use. A
-dataset holds each row once: `PUDataset.samples` is P then U in one block
-whose arrays are read-only, and its `positives` and `unlabeled` are views of
-that block's row ranges. No I/O.
+dataset is one P-then-U block of rows and P's row count: `PUDataset` stores
+the block it is given and makes its arrays read-only, and its `positives` and
+`unlabeled` are views of the block's two row ranges. No I/O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -123,14 +123,6 @@ class SampleRows:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __add__(self, other: SampleRows) -> SampleRows:
-        return SampleRows(
-            self.ids + other.ids,
-            np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
-            np.concatenate([self.indices, other.indices]),
-            np.concatenate([self.hidden, other.hidden]),
-        )
-
     def take(self, rows: Sequence[int]) -> SampleRows:
         """The given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -151,24 +143,25 @@ class PUDataset:
     """Samples partitioned into positive group P (z=1) and unlabeled group U (z=0).
 
     Group membership is the label z: a sample's group is all the learner sees.
-    The rows are held once, in `samples` (P then U, read-only arrays);
-    `positives` and `unlabeled` are rebound to views of its row ranges, so the
-    groups passed in can be dropped.
+    The rows are held once, in `samples`: the first n_positive rows are P, the
+    rest U. Its arrays are made read-only, and `positives` and `unlabeled` are
+    views of its two row ranges.
     """
 
     space: FeatureSpace
-    positives: SampleRows
-    unlabeled: SampleRows
-    samples: SampleRows = field(init=False, repr=False)
+    samples: SampleRows
+    n_positive: int
 
     def __post_init__(self) -> None:
-        benign = np.flatnonzero(self.positives.hidden == 0)
+        rows, n_p, d = self.samples, self.n_positive, self.space.dimension
+        if not 0 <= n_p <= len(rows):
+            raise DatasetError(f"{n_p} positives do not fit a block of {len(rows)} samples")
+        benign = np.flatnonzero(rows.hidden[:n_p] == 0)
         if len(benign):
             raise DatasetError(
-                f"sample {self.positives.ids[benign[0]]!r}: "
+                f"sample {rows.ids[benign[0]]!r}: "
                 "a known-benign sample cannot be labeled positive"
             )
-        rows, d = self.positives + self.unlabeled, self.space.dimension
         if len(set(rows.ids)) != len(rows):
             raise DatasetError("sample ids must be unique across P and U")
         outside = np.flatnonzero(rows.indices >= d)
@@ -177,12 +170,18 @@ class PUDataset:
             raise DimensionError(
                 f"sample {rows.ids[row]!r} has feature index outside space of dimension {d}"
             )
-        n_p = len(self.positives)
-        groups = rows, rows.between(0, n_p), rows.between(n_p, len(rows))
-        for name, group in zip(("samples", "positives", "unlabeled"), groups):
-            for array in (group.indptr, group.indices, group.hidden):
-                array.flags.writeable = False
-            object.__setattr__(self, name, group)
+        for array in (rows.indptr, rows.indices, rows.hidden):
+            array.flags.writeable = False
+
+    @cached_property
+    def positives(self) -> SampleRows:
+        return self.samples.between(0, self.n_positive)
+
+    @cached_property
+    def unlabeled(self) -> SampleRows:
+        group = self.samples.between(self.n_positive, len(self.samples))
+        group.indptr.flags.writeable = False  # rebased into a new array when P is non-empty
+        return group
 
 
 def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:

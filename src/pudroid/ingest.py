@@ -230,5 +230,6 @@ def build_dataset(
         cells % d,
         np.full(len(manifest), -1, dtype=np.int64),
     )
-    members = {g: [i for i, row in enumerate(manifest) if row.group is g] for g in Group}
-    return PUDataset(space, rows.take(members[Group.POSITIVE]), rows.take(members[Group.UNLABELED]))
+    positive = [i for i, row in enumerate(manifest) if row.group is Group.POSITIVE]
+    unlabeled = [i for i, row in enumerate(manifest) if row.group is Group.UNLABELED]
+    return PUDataset(space, rows.take(positive + unlabeled), len(positive))

@@ -7,7 +7,6 @@ exactly rounded value of the underlying rational number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 @dataclass(frozen=True)
 class Metrics:
     accuracy: float
-    auc: float  # NaN when undefined (single-class truth)
+    auc: float  # NaN when undefined (single-class truth); reports write it as "undefined"
     f_measure: float
     detection_rate: float
     tp: int
@@ -25,14 +24,10 @@ class Metrics:
     tn: int
     fn: int
 
-    @property
-    def auc_defined(self) -> bool:
-        return not math.isnan(self.auc)
-
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,
-            "auc": "undefined" if not self.auc_defined else self.auc,
+            "auc": self.auc,
             "f_measure": self.f_measure,
             "detection_rate": self.detection_rate,
             "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},

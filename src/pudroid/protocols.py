@@ -54,13 +54,13 @@ def _held_out(base: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, B
     """(training true positive rows, training true negative rows, X_test, y_test)."""
     samples = base.dataset.samples
     pos_tr, neg_tr, test = split_test(base, seed)
-    X_test = BinaryMatrix.from_rows(samples.take(test), base.dataset.space.dimension)
+    X_test = BinaryMatrix.from_rows(samples, base.dataset.space.dimension)[test]
     return pos_tr, neg_tr, X_test, samples.hidden[test].tolist()
 
 
 def _dataset(base: SyntheticData, p_rows: np.ndarray, u_rows: np.ndarray) -> PUDataset:
-    samples = base.dataset.samples
-    return PUDataset(base.dataset.space, samples.take(p_rows), samples.take(u_rows))
+    rows = base.dataset.samples.take(np.concatenate([p_rows, u_rows]))
+    return PUDataset(base.dataset.space, rows, len(p_rows))
 
 
 def _move_positives(
@@ -235,14 +235,13 @@ def protocol_rq4(
     rng = np.random.default_rng([seed, 1])
     malware = pos_tr[np.sort(rng.permutation(len(pos_tr))[:m])]
     mislabeled = np.sort(rng.permutation(len(neg_tr))[:k])
-    benign_rest = base.dataset.samples.take(np.delete(neg_tr, mislabeled))
-    corrupted = base.dataset.samples.take(np.concatenate([malware, neg_tr[mislabeled]]))
+    benign_rest = np.delete(neg_tr, mislabeled)
+    block = base.dataset.samples.take(np.concatenate([benign_rest, malware, neg_tr[mislabeled]]))
 
-    # swapped view: benign is the positive class, so the hidden truth flips too
+    # swapped view: benign is the positive class (P the retained benign, U the
+    # malware and the mislabeled benign), so the hidden truth flips too
     swapped_ds = PUDataset(
-        base.dataset.space,
-        replace(benign_rest, hidden=1 - benign_rest.hidden),
-        replace(corrupted, hidden=1 - corrupted.hidden),
+        base.dataset.space, replace(block, hidden=1 - block.hidden), len(benign_rest)
     )
 
     rows = []

@@ -8,8 +8,9 @@ frequency e = p(z=1 | y=1) is estimated as the mean of f over the positive
 rows P' of a held-out validation split, and the adjusted score
 g(x) = f(x) / e recovers the true posterior under the discovered-at-random
 assumption. Unlabeled samples with g > 0.5 are flagged as contaminants and
-relabeled into P (or discarded): the result is the cleaned dataset, on which
-a caller trains its detector. Hidden ground truth is never read here.
+relabeled into P (or discarded): the result is the cleaned dataset, gathered
+from the input's rows in one step, on which a caller trains its detector.
+Hidden ground truth is never read here.
 """
 
 from __future__ import annotations
@@ -130,11 +131,13 @@ def clean_and_retrain(
 ) -> CleanResult:
     """Full pipeline: train f, estimate e, rescale, detect, relabel.
 
-    Detected contaminants are moved from U into P by default (their hidden
-    field, if any, is dropped: the pipeline treats its own verdict as the new
-    label and carries no ground-truth claim). With discard=True they are
-    removed instead; a cleaned set of one class is an error. The caller fits
-    the detector; the name keeps "retrain" until ROADMAP item 1.
+    Detected contaminants are moved from U into P by default: the cleaned
+    block is P's rows, then the moved rows, then the rest of U, each group in
+    its input order. A moved row's hidden field is dropped: the pipeline
+    treats its own verdict as the new label and carries no ground-truth
+    claim. With discard=True they are removed instead; a cleaned set of one
+    class is an error. The caller fits the detector; the name keeps
+    "retrain" until ROADMAP item 1.
     """
     X, z = training_arrays(ds)
     train_rows, p_rows = split_validation(z, split_fraction, seed)
@@ -148,16 +151,19 @@ def clean_and_retrain(
     pu = apply_rescale_heuristic(
         PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
-    u = ds.unlabeled
-    is_flagged = detect_contaminants(pu, X[np.arange(len(ds.positives), len(z))])
+    p_rows, u_rows = np.arange(ds.n_positive), np.arange(ds.n_positive, len(z))
+    is_flagged = detect_contaminants(pu, X[u_rows])
     if is_flagged.all():  # P is non-empty, so only an all-flagged U leaves one class
-        raise TrainingError(f"retrain: all {len(u)} unlabeled samples were flagged; "
+        raise TrainingError(f"retrain: all {len(u_rows)} unlabeled samples were flagged; "
                             "the cleaned set has one class")
 
-    moved = u.take(np.flatnonzero(is_flagged))
-    p = ds.positives if discard else ds.positives + replace(moved, hidden=np.full(len(moved), -1))
+    moved = u_rows[is_flagged]
+    if not discard:
+        p_rows = np.concatenate([p_rows, moved])
+    rows = ds.samples.take(np.concatenate([p_rows, u_rows[~is_flagged]]))
+    rows.hidden[ds.n_positive:len(p_rows)] = -1  # the moved rows, when kept
     return CleanResult(
-        contaminant_ids=tuple(sorted(moved.ids)),
-        cleaned=PUDataset(ds.space, p, u.take(np.flatnonzero(~is_flagged))),
+        contaminant_ids=tuple(sorted(map(ds.samples.ids.__getitem__, moved.tolist()))),
+        cleaned=PUDataset(ds.space, rows, len(p_rows)),
         diagnostics=CleanDiagnostics(e=e, rescale=pu.rescale, mean_g_over_pm=mu),
     )

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import DimensionError, FeatureSpace, PUDataset, SampleRows, offsets
+from .features import DimensionError, FeatureSpace, PUDataset, SampleRows
 
 
 class ConfigError(ValueError):
@@ -86,11 +86,10 @@ def project_dataset(ds: PUDataset, retained: Sequence[int]) -> PUDataset:
     new_space = FeatureSpace(tuple(ds.space.features[i] for i in retained_sorted))
     remap = np.full(d, -1, dtype=np.int64)  # old index -> new index, -1 for a dropped feature
     remap[retained_sorted] = np.arange(len(retained_sorted))
-
-    def remap_rows(rows: SampleRows) -> SampleRows:
-        # the remap is increasing, so the kept indices stay sorted
-        new = remap[rows.indices]
-        kept = new >= 0
-        return replace(rows, indptr=offsets(kept)[rows.indptr], indices=new[kept])
-
-    return PUDataset(new_space, remap_rows(ds.positives), remap_rows(ds.unlabeled))
+    rows = ds.samples
+    kept = np.flatnonzero(remap[rows.indices] >= 0)  # positions of the kept ones
+    # a row's new start is the number of kept ones before its old start; the
+    # remap is increasing, so the kept indices stay sorted
+    indptr = np.searchsorted(kept, rows.indptr)
+    rows = replace(rows, indptr=indptr, indices=remap[rows.indices[kept]])
+    return PUDataset(new_space, rows, ds.n_positive)

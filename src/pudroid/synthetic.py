@@ -107,15 +107,16 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     neg_X = rng.random((spec.n_negative, spec.dimension)) < neg_rates
     labeled = rng.random(spec.n_positive) < spec.label_frequency_c
 
-    # one CSR block of all samples, positives first; P and U are gathered from it
+    # one CSR block of all samples, true positives first; the dataset gathers
+    # its P-then-U block from it
     n_pos, n = spec.n_positive, spec.n_positive + spec.n_negative
     ids = [f"pos-{i:05d}" for i in range(n_pos)] + [f"neg-{i:05d}" for i in range(n - n_pos)]
     row_of, on = np.nonzero(np.concatenate([pos_X, neg_X]))
     hidden = (np.arange(n) < n_pos).astype(np.int64)
     rows = SampleRows(tuple(ids), offsets(np.bincount(row_of, minlength=n)), on, hidden)
     p_rows = np.flatnonzero(labeled)
-    u_rows = np.concatenate([np.flatnonzero(~labeled), np.arange(n_pos, n)])
-    dataset = PUDataset(_feature_space(spec.dimension), rows.take(p_rows), rows.take(u_rows))
+    order = np.concatenate([p_rows, np.flatnonzero(~labeled), np.arange(n_pos, n)])
+    dataset = PUDataset(_feature_space(spec.dimension), rows.take(order), len(p_rows))
     return SyntheticData(dataset, dict(zip(ids, families.tolist())), spec)
 
 

@@ -30,9 +30,8 @@ def row_lists(rows: SampleRows) -> list[list[int]]:
 
 def dataset_from_rows(rows_p, rows_u, d: int) -> PUDataset:
     """Build a PUDataset from lists of on-index tuples for P and U."""
-    pos = rows_of([f"p{i}" for i in range(len(rows_p))], rows_p)
-    unl = rows_of([f"u{i}" for i in range(len(rows_u))], rows_u)
-    return PUDataset(space_of(d), pos, unl)
+    ids = [f"p{i}" for i in range(len(rows_p))] + [f"u{i}" for i in range(len(rows_u))]
+    return PUDataset(space_of(d), rows_of(ids, [*rows_p, *rows_u]), len(rows_p))
 
 
 def random_dataset(
@@ -49,12 +48,15 @@ def pu_datasets(draw, max_dimension: int = 12) -> PUDataset:
     d = draw(st.integers(0, max_dimension))
     on = st.sets(st.integers(0, d - 1)).map(sorted) if d else st.just([])
 
-    def group(prefix: str, hidden: list[int]) -> SampleRows:
+    def group(prefix: str, hidden: list[int]) -> tuple[list, list, list]:
         rows = draw(st.lists(on, max_size=6))
         labels = draw(st.lists(st.sampled_from(hidden), min_size=len(rows), max_size=len(rows)))
-        return rows_of([f"{prefix}{i}" for i in range(len(rows))], rows, labels)
+        return [f"{prefix}{i}" for i in range(len(rows))], rows, labels
 
-    return PUDataset(space_of(d), group("p", [-1, 1]), group("u", [-1, 0, 1]))
+    p_ids, p_rows, p_hidden = group("p", [-1, 1])
+    u_ids, u_rows, u_hidden = group("u", [-1, 0, 1])
+    block = rows_of(p_ids + u_ids, p_rows + u_rows, p_hidden + u_hidden)
+    return PUDataset(space_of(d), block, len(p_ids))
 
 
 def matrix_of(X) -> BinaryMatrix:

@@ -22,15 +22,10 @@ def datasets(draw) -> PUDataset:
     ids = draw(st.lists(TEXT, unique=True, min_size=n_p + n_u, max_size=n_p + n_u))
     on = st.sets(st.integers(0, len(names) - 1)) if names else st.just(set())
 
-    def group(ids: list[str], hidden: list[int]) -> SampleRows:
-        rows = [sorted(draw(on)) for _ in ids]
-        return SampleRows.build(ids, rows, [draw(st.sampled_from(hidden)) for _ in ids])
-
-    return PUDataset(
-        FeatureSpace(tuple(zip(names, kinds))),
-        group(ids[:n_p], [-1, 1]),
-        group(ids[n_p:], [-1, 0, 1]),
-    )
+    rows = [sorted(draw(on)) for _ in ids]
+    hidden = [draw(st.sampled_from([-1, 1] if i < n_p else [-1, 0, 1])) for i in range(len(ids))]
+    space = FeatureSpace(tuple(zip(names, kinds)))
+    return PUDataset(space, SampleRows.build(ids, rows, hidden), n_p)
 
 
 def _assert_written_as_reference(ds: PUDataset, path) -> None:
@@ -47,14 +42,12 @@ class TestWriterOracle:
 
     def test_edge_datasets(self, tmp_path):
         space = FeatureSpace((('a"b\\c', FeatureKind.API), ("\x01é😀", FeatureKind.IP_ADDRESS)))
-        p = SampleRows.build(["p\n0"], [()], [1])
-        u = SampleRows.build(["u\t0"], [(0, 1)], [-1])
-        empty = SampleRows.build([], [], [])
+        both = SampleRows.build(["p\n0", "u\t0"], [(), (0, 1)], [1, -1])
         for ds in (
-            PUDataset(space, p, u),
-            PUDataset(space, empty, u),  # empty P
-            PUDataset(space, p, empty),  # empty U
-            PUDataset(FeatureSpace(()), empty, empty),
+            PUDataset(space, both, 1),
+            PUDataset(space, both.between(1, 2), 0),  # empty P
+            PUDataset(space, both.between(0, 1), 1),  # empty U
+            PUDataset(FeatureSpace(()), SampleRows.build([], [], []), 0),
         ):
             _assert_written_as_reference(ds, tmp_path / "ds.json")
 

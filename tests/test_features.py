@@ -76,7 +76,7 @@ class TestAppSample:
     """The rules on one sample's hidden label, checked by SampleRows and PUDataset."""
 
     def test_valid_states(self):
-        PUDataset(space_of(1), rows_of(["a"], [(0,)], [1]), rows_of(["b", "c"], [(), ()], [0, -1]))
+        PUDataset(space_of(1), rows_of(["a", "b", "c"], [(0,), (), ()], [1, 0, -1]), 1)
 
     def test_rejects_bad_hidden(self):
         with pytest.raises(DatasetError, match="hidden must be 0, 1 or absent, got 3"):
@@ -84,13 +84,18 @@ class TestAppSample:
 
     def test_rejects_labeled_positive_with_benign_truth(self):
         with pytest.raises(DatasetError, match="'b': a known-benign sample"):
-            PUDataset(space_of(1), rows_of(["a", "b"], [(), ()], [1, 0]), rows_of([], []))
+            PUDataset(space_of(1), rows_of(["a", "b"], [(), ()], [1, 0]), 2)
 
 
 class TestPUDataset:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(DatasetError, match="unique across P and U"):
-            PUDataset(space_of(3), rows_of(["a"], [()]), rows_of(["a"], [()]))
+            PUDataset(space_of(3), rows_of(["a", "a"], [(), ()]), 1)
+
+    @pytest.mark.parametrize("n_positive", [-1, 3])
+    def test_split_count_must_fit_the_block(self, n_positive):
+        with pytest.raises(DatasetError, match=f"{n_positive} positives do not fit a block of 2"):
+            PUDataset(space_of(1), rows_of(["a", "b"], [(), ()]), n_positive)
 
     def test_rejects_out_of_space_index(self):
         with pytest.raises(DimensionError, match="'u1' has feature index outside"):
@@ -110,12 +115,11 @@ class TestPUDataset:
 
     def test_holds_its_rows_once(self):
         base = generate_synthetic(SyntheticSpec(n_positive=500, n_negative=1500, seed=3)).dataset
-        rows, n_p = base.samples, len(base.positives)
-        p, u = np.arange(n_p), np.arange(n_p, len(rows))
+        rows = base.samples
         tracemalloc.start()
         try:
-            # the groups passed in are fresh and dropped once the dataset is built
-            ds = PUDataset(base.space, rows.take(p), rows.take(u))
+            ds = PUDataset(base.space, rows.take(np.arange(len(rows))), base.n_positive)
+            ds.positives, ds.unlabeled  # the group views are built on first use
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -133,24 +137,32 @@ class TestPUDataset:
 
     @settings(max_examples=200, deadline=None)
     @given(ds=pu_datasets(), data=st.data())
-    def test_groups_are_the_rows_passed_in(self, ds, data):
-        # a random P/U split of the rows, in a random order; either group may be
-        # empty, and P takes no known-benign sample
-        rows = ds.samples
-        eligible = np.flatnonzero(rows.hidden != 0).tolist()
-        p_rows = data.draw(st.lists(st.sampled_from(eligible), unique=True)) if eligible else []
-        u_rows = data.draw(st.permutations(sorted(set(range(len(rows))) - set(p_rows))))
-        p, u = rows.take(p_rows), rows.take(u_rows)
-        split = PUDataset(ds.space, p, u)
-        for given_rows, group in ((p, split.positives), (u, split.unlabeled)):
-            assert group.ids == given_rows.ids
-            for name in ("indptr", "indices", "hidden"):
-                assert getattr(group, name).dtype == np.int64
-                assert getattr(group, name).tolist() == getattr(given_rows, name).tolist()
+    def test_groups_are_views_of_the_block(self, ds, data):
+        # the rows in a random order, split at a random count; either group may
+        # be empty, and P takes no known-benign sample
+        block = ds.samples.take(data.draw(st.permutations(range(len(ds.samples)))))
+        benign = np.flatnonzero(block.hidden == 0)
+        n_p = data.draw(st.integers(0, benign[0] if len(benign) else len(block)))
+        split = PUDataset(ds.space, block, n_p)
+        assert split.samples is block
+        lists = row_lists(block)
+        for group, a, b in ((split.positives, 0, n_p), (split.unlabeled, n_p, len(block))):
+            assert group.ids == block.ids[a:b]
+            assert row_lists(group) == lists[a:b]
+            assert group.hidden.tolist() == block.hidden[a:b].tolist()
+            if len(group.indices):
+                assert np.shares_memory(group.indices, block.indices)
+            if len(group):
+                assert np.shares_memory(group.hidden, block.hidden)
+            for array in (block.indptr, block.indices, block.hidden,
+                          group.indptr, group.indices, group.hidden):
+                assert array.dtype == np.int64
+                assert not array.flags.writeable
         doc = dataset_to_dict(split)
-        assert [s["id"] for s in doc["positives"] + doc["unlabeled"]] == list(p.ids + u.ids)
-        assert [s["on"] for s in doc["positives"] + doc["unlabeled"]] == row_lists(p) + row_lists(u)
-        assert dataset_to_dict(dataset_from_dict(doc)) == doc
+        assert [s["id"] for s in doc["positives"] + doc["unlabeled"]] == list(block.ids)
+        loaded = dataset_from_dict(doc)
+        assert loaded.n_positive == n_p
+        assert dataset_to_dict(loaded) == doc
 
 
 def _old_row_rule(row) -> str | None:
@@ -189,12 +201,8 @@ class TestRowsOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(ds=pu_datasets(), data=st.data())
-    def test_take_and_add_match_list_operations(self, ds, data):
-        p, u = ds.positives, ds.unlabeled
-        both = p + u
-        assert both.ids == p.ids + u.ids
-        assert row_lists(both) == row_lists(p) + row_lists(u)
-        assert both.hidden.tolist() == p.hidden.tolist() + u.hidden.tolist()
+    def test_take_matches_list_operations(self, ds, data):
+        both = ds.samples
         order = data.draw(st.lists(st.integers(0, max(len(both) - 1, 0)), max_size=10))
         order = order if len(both) else []
         taken = both.take(order)

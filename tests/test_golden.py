@@ -1,6 +1,7 @@
 """Golden artifacts: sha256 of small fixed-seed CLI runs.
 
-These pin the exact bytes `clean` and `experiment` write for fixed seeds, so
+These pin the exact bytes `ingest`, `select-features`, `clean` and
+`experiment` write for fixed seeds and a fixed corpus, so
 a refactor that claims to keep behaviour can prove it across commits (the
 CLI determinism check only compares two runs of the same code). Forest and
 tree scores are means of Laplace leaf fractions and need no BLAS reductions,
@@ -22,6 +23,13 @@ GOLDEN = {
     "clean-tree/report": "082a356a327efdbd2f82752a05f70cec629321f41a2ee881eca9608e501e818b",
     "clean-tree/cleaned": "4ecb39a885507a2e0b47a08aaab8e29b7101e9ea2e0ffba0116b0ed0fe9f6617",
     "rq2/report": "8c825d9b8ffbe59736b094af971a3c869c10989e590ca8c5f6366ca12181f47e",
+    "ingest/raw": "cbb5446925883c7801f25d4c472502097c02fbe70939859be7ee46a7fd9f8444",
+    "select/selected": "b5c5dc3397c898db8467af274da77ad183ef9616e62647df080dc679f8290880",
+    "clean-selected/report": "b0b36007bfb51a32a608b4a19cb12eb209bfe08ea43cf13937428e3dac79b96f",
+    "clean-selected/cleaned": "ba500c6c43198fc6fa8c0a086fdcab509c00a31d32f8aa65e6167bbb897864be",
+    "clean-selected-discard/report": "ce193ba1a994728a0cc1dd8cfe970953750b7b56f15dfb7a2a8d713718c9d369",
+    "clean-selected-discard/cleaned": "df0dd13a80d293e3dda4ff97a7d1b182fadc72fba235110f99a5c083683cda23",
+    "rq1-tree/report": "3ed36254cf3f94a5f5f65e9a3522acb86fa522b8b3b63201d5499d76b536dffc",
 }
 
 
@@ -64,3 +72,70 @@ def test_rq2_report(tmp_path, capsys):
     ])
     assert code == 0
     assert _sha256(report) == GOLDEN["rq2/report"]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """(manifest, ipmap) of 90 apps, apps 0-44 malicious: 30 of them labeled
+    positive, the rest hidden in U among the 45 benign. The manifest lists the
+    apps out of group order, so ingest gathers both groups from scattered rows."""
+    root = tmp_path_factory.mktemp("corpus")
+    for i in range(90):
+        lines = [f"permission::P{i * j % 11}" for j in range(1, 4)]
+        lines += [f"api::call{(i * i + 3 * j) % 29}" for j in range(4 + i % 5)]
+        if i < 45:
+            lines += ["permission::SEND_SMS", "api::getDeviceId", f"api::exec{i % 4}"]
+        lines += ["# comment", f"url::host{i % 6}.example", f"ip::10.{i % 4}.{i % 7}.{i}"]
+        (root / f"app{i}.txt").write_text("\n".join(lines) + "\n")
+    order = [i * 37 % 90 for i in range(90)]
+    manifest = root / "manifest.csv"
+    manifest.write_text("app_id,path,group\n" + "".join(
+        f"app-{i},app{i}.txt,{'positive' if i < 30 else 'unlabeled'}\n" for i in order
+    ))
+    ipmap = root / "ipmap.tsv"
+    ipmap.write_text("".join(f"host{h}.example\t192.0.{h}.{h + 7}\n" for h in range(4)))
+    return manifest, ipmap
+
+
+@pytest.fixture(scope="module")
+def selected_file(corpus, tmp_path_factory):
+    """(raw, selected): the corpus ingested, then its features selected."""
+    manifest, ipmap = corpus
+    out = tmp_path_factory.mktemp("selected")
+    raw, selected = out / "raw.json", out / "selected.json"
+    assert run(["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap),
+                "--out", str(raw)]) == 0
+    assert run(["select-features", "--dataset", str(raw), "--out", str(selected)]) == 0
+    return raw, selected
+
+
+def test_ingest_and_select_artifacts(selected_file):
+    raw, selected = selected_file
+    assert _sha256(raw) == GOLDEN["ingest/raw"]
+    assert _sha256(selected) == GOLDEN["select/selected"]
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("clean-selected", []),
+    ("clean-selected-discard", ["--discard"]),
+])
+def test_clean_selected_artifacts(selected_file, tmp_path, capsys, name, flags):
+    report, cleaned = tmp_path / "report.json", tmp_path / "cleaned.json"
+    code = run([
+        "clean", "--dataset", str(selected_file[1]), "--learner", "tree", *flags,
+        "--seed", "3", "--out", str(report), "--cleaned-out", str(cleaned),
+    ])
+    assert code == 0
+    assert _sha256(report) == GOLDEN[f"{name}/report"]
+    assert _sha256(cleaned) == GOLDEN[f"{name}/cleaned"]
+
+
+def test_rq1_tree_report(tmp_path, capsys):
+    report = tmp_path / "rq1.json"
+    code = run([
+        "experiment", "--protocol", "rq1", "--learner", "tree", "--iterations", "2",
+        "--step", "30", "--n-positive", "150", "--n-negative", "300", "--dimension", "40",
+        "--signal-features", "4", "--n-families", "2", "--seed", "5", "--out", str(report),
+    ])
+    assert code == 0
+    assert _sha256(report) == GOLDEN["rq1-tree/report"]

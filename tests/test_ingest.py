@@ -370,7 +370,7 @@ def reference_dataset(texts: list[str], manifest: list[ManifestRow], base: Path)
         [-1] * len(manifest),
     )
     groups = [[i for i, row in enumerate(manifest) if row.group is g] for g in Group]
-    return dataset_to_dict(PUDataset(space, rows.take(groups[0]), rows.take(groups[1])))
+    return dataset_to_dict(PUDataset(space, rows.take(groups[0] + groups[1]), len(groups[0])))
 
 
 def ingested(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:

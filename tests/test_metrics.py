@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pudroid.metrics import compute_metrics, rank_auc
+from pudroid.report import dumps
 
 
 def pairwise_auc(truth, scores):
@@ -84,8 +86,8 @@ class TestComputeMetrics:
 
     def test_undefined_auc_serializes_as_marker(self):
         m = compute_metrics([1, 1], [1, 0], [0.9, 0.1])
-        assert not m.auc_defined
-        assert m.to_dict()["auc"] == "undefined"
+        assert math.isnan(m.auc)
+        assert json.loads(dumps(m.to_dict()))["auc"] == "undefined"
 
     def test_defined_auc_round_trips_to_dict(self):
         m = compute_metrics([1, 0], [1, 0], [0.9, 0.1])
