@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import codecs
 import json
+import re
+from array import array
 from collections.abc import Iterable, Iterator
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _quote
+from json.scanner import make_scanner
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
+
+import numpy as np
 
 from .features import KIND_OF, FeatureKind, FeatureSpace, PUDataset, SampleRows
 from .report import DATASET_SCHEMA
@@ -123,8 +129,165 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
         fh.write("\n}\n")
 
 
-def load_dataset(path: str | Path) -> PUDataset:
-    """The dataset in the file at `path`; every data fault names the file."""
+_WINDOW = 1 << 20  # bytes the reader takes from the file per refill
+_SCAN = make_scanner(json.JSONDecoder())  # (value, end) of the JSON value at an offset
+_WS = r"[ \t\n\r]*"  # JSON whitespace
+_OPEN = re.compile(_WS + r"\{" + _WS + "(}?)")  # the document's "{", and "}" if it is empty
+_COLON = re.compile(_WS + ":" + _WS)
+_MEMBER_END = re.compile(_WS + "([,}])" + _WS)
+_ARRAY_OPEN = re.compile(r"\[" + _WS + "(]?)")  # an array's "[", and "]" if it is empty
+_ITEM_END = re.compile(_WS + r"([,\]])" + _WS)
+_ENTRY_KEYS, _HIDDEN_ENTRY_KEYS = {"id", "on"}, {"hidden", "id", "on"}
+
+
+class _Refused(Exception):
+    """The text is not a dataset as save_dataset writes one."""
+
+
+class _Reader:
+    """Reads a dataset file one JSON value at a time, through a window of its
+    text: a top-level value, or one element of features, positives or
+    unlabeled. A sample's id, on-indices and hidden go straight into the
+    arrays of one P-then-U block, so neither the parse tree nor the whole
+    text is ever held. Only what save_dataset writes is accepted, up to key
+    order, whitespace, string escapes and extra top-level keys; anything else
+    raises _Refused."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh, self.text, self.at, self.literals = fh, "", 0, False
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.features: list[tuple[str, FeatureKind]] = []
+        self.ids: list[str] = []
+        self.indptr, self.indices, self.hidden = array("q", [0]), array("q"), array("q")
+
+    def _more(self) -> bool:
+        """Drop the text before the cursor and append the next chunk of the file,
+        at least as long as what is kept; False at the end of the file."""
+        data = self.fh.read(max(_WINDOW, len(self.text) - self.at))
+        if not data:
+            self.decode(b"", True)  # raises on a character cut short by the end
+            return False
+        chunk = self.decode(data)
+        del data  # the bytes, the old window and the new one are never all held
+        rest, self.text = self.text[self.at:], ""
+        self.text, self.at = rest + chunk, 0
+        # fromlist takes a JSON true or false as an integer, so the rows of a
+        # window that spells either are checked index by index; "u" and "l" go
+        # first, as a one-character search is far quicker than a word search
+        text = self.text
+        self.literals = "u" in text and "true" in text or "l" in text and "false" in text
+        return True
+
+    def _match(self, pattern: re.Pattern) -> re.Match:
+        """`pattern` at the cursor, which moves past it. A match that reaches the
+        window's end is retried on more text, as is every scan below."""
+        while True:
+            m = pattern.match(self.text, self.at)
+            if (m is None or m.end() == len(self.text)) and self._more():
+                continue
+            if m is None:
+                raise _Refused
+            self.at = m.end()
+            return m
+
+    def _scan(self, end: re.Pattern) -> tuple[object, re.Match]:
+        """The value at the cursor and the match of `end` after it."""
+        while True:
+            try:
+                value, stop = _SCAN(self.text, self.at)
+                m = end.match(self.text, stop)
+            except (StopIteration, ValueError):  # no value here, or one cut short
+                m = None
+            if (m is None or m.end() == len(self.text)) and self._more():
+                continue
+            if m is None:
+                raise _Refused
+            self.at = m.end()
+            return value, m
+
+    def _array(self, store) -> None:
+        """Pass each element of the array at the cursor to store."""
+        if self._match(_ARRAY_OPEN).group(1):
+            return
+        text, at, scan, match = self.text, self.at, _SCAN, _ITEM_END.match
+        while True:  # _scan(_ITEM_END) inlined, but for the window's end
+            try:
+                value, stop = scan(text, at)
+                m = match(text, stop)
+            except (StopIteration, ValueError):
+                m = None
+            if m is None or m.end() == len(text):
+                self.at = at
+                value, m = self._scan(_ITEM_END)
+                text, at = self.text, self.at
+            else:
+                at = m.end()
+            store(value)
+            if m.group(1) == "]":
+                self.at = at
+                return
+
+    def _feature(self, pair) -> None:
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+                and type(pair[1]) is str and pair[1] in KIND_OF):
+            raise _Refused
+        self.features.append((pair[0], KIND_OF[pair[1]]))
+
+    def _sample(self, entry) -> None:
+        if type(entry) is not dict:
+            raise _Refused
+        keys, h = entry.keys(), entry.get("hidden", -1)
+        if not (keys == _ENTRY_KEYS
+                or keys == _HIDDEN_ENTRY_KEYS and type(h) is int and h in (0, 1)):
+            raise _Refused
+        sid, on = entry["id"], entry["on"]
+        if not (type(sid) is str and type(on) is list):
+            raise _Refused
+        if self.literals and on and set(map(type, on)) != {int}:  # true or false in on
+            raise _Refused
+        try:
+            self.indices.fromlist(on)  # all or nothing
+        except (TypeError, OverflowError):  # not an integer, or one beyond int64
+            raise _Refused from None
+        self.indptr.append(len(self.indices))
+        self.hidden.append(h)
+        self.ids.append(sid)
+
+    def read(self) -> None:
+        """Read the whole file; refuse it, or set n_positive."""
+        members: dict[str, object] = {}
+        end = self._match(_OPEN)
+        while end.group(1) != "}":
+            key, _ = self._scan(_COLON)
+            if type(key) is not str or key in members:
+                raise _Refused
+            if key == "features":
+                self._array(self._feature)
+            elif key in ("positives", "unlabeled"):
+                if key == "unlabeled" and "positives" not in members:
+                    raise _Refused
+                self._array(self._sample)
+            else:
+                members[key], end = self._scan(_MEMBER_END)
+                continue
+            members[key] = len(self.ids)
+            end = self._match(_MEMBER_END)
+        if self.at < len(self.text) or members.get("schema") != DATASET_SCHEMA \
+                or not {"features", "positives", "unlabeled"} <= members.keys():
+            raise _Refused
+        self.n_positive = members["positives"]
+
+    def dataset(self) -> PUDataset:
+        space = FeatureSpace(tuple(self.features))  # checked first, as dataset_from_dict does
+        indptr, indices, hidden = (np.frombuffer(a, dtype=np.int64)
+                                   for a in (self.indptr, self.indices, self.hidden))
+        rows = SampleRows(tuple(self.ids), indptr, indices, hidden)
+        return PUDataset(space, rows, self.n_positive)
+
+
+def _load_whole(path: str | Path) -> PUDataset:
+    """json.loads and dataset_from_dict over the whole text, for a file the
+    reader refuses: they load it, or name its fault as they always have."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:  # the parser recurses once per nesting level, before any check
@@ -134,4 +297,25 @@ def load_dataset(path: str | Path) -> PUDataset:
     try:
         return dataset_from_dict(data)
     except ValueError as exc:  # a structural fault; its class is kept
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def load_dataset(path: str | Path) -> PUDataset:
+    """The dataset in the file at `path`; every data fault names the file.
+
+    The file is read one element at a time (_Reader). A file the reader
+    refuses, faulty or merely laid out otherwise, is read again whole, and
+    json.loads and dataset_from_dict name its fault or load it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh)
+            reader.read()
+    except (_Refused, UnicodeDecodeError, RecursionError):
+        reader = None  # frees the window and the arrays before the whole text is read
+    if reader is None:
+        return _load_whole(path)
+    try:
+        return reader.dataset()
+    except ValueError as exc:  # an index, id or feature fault, as dataset_from_dict raises it
         raise type(exc)(f"{path}: {exc}") from None

@@ -13,6 +13,7 @@ resolver map and replaced by its IPv4 address truncated to the /24 prefix
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -184,7 +185,7 @@ def build_dataset(
     base = Path(base_dir)
     memo: dict[str, int] = {}
     numbers: dict[tuple[str, str], int] = {}  # key -> feature number, in order of first sight
-    flat: list[int] = []  # the apps' feature numbers, app after app
+    flat = array("q")  # the apps' feature numbers, app after app in manifest order
     lengths: list[int] = []
     for row in manifest:
         path = base / row.path
@@ -217,19 +218,28 @@ def build_dataset(
     keys = list(numbers)
     del numbers
     space = FeatureSpace.build(keys)
-    index = space.index_of()
-    rank = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))  # number -> index
-    del index, keys
-    # sort each row's indices: row-major cell numbers row * d + index sort as (row, index)
+    # each stored one is keyed by its app's row in the P-then-U block and its
+    # index, as row * d + index in the narrowest type that holds n * d: one
+    # in-place sort puts the block in row order and each row's indices in order
+    is_positive = np.array([row.group is Group.POSITIVE for row in manifest])
+    order = np.argsort(~is_positive, kind="stable")  # block row -> manifest row
     d = max(space.dimension, 1)
-    row_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    cells = np.sort(row_of * d + rank[np.array(flat, dtype=np.int64)])
+    cell = np.min_scalar_type(len(manifest) * d)
+    index = space.index_of()
+    rank = np.fromiter(map(index.__getitem__, keys), cell, len(keys))  # number -> index
+    del index, keys
+    cells = rank.take(np.frombuffer(flat, dtype=np.int64))
+    del flat, rank
+    row_start = np.empty(len(manifest), dtype=cell)
+    row_start[order] = np.arange(len(manifest), dtype=cell) * cell.type(d)
+    cells += np.repeat(row_start, lengths)
+    cells.sort()
+    indices = np.empty(len(cells), dtype=np.int64)
+    np.remainder(cells, d, out=indices)
     rows = SampleRows(
-        tuple(row.app_id for row in manifest),
-        offsets(lengths),
-        cells % d,
+        tuple(manifest[i].app_id for i in order.tolist()),
+        offsets(np.asarray(lengths)[order]),
+        indices,
         np.full(len(manifest), -1, dtype=np.int64),
     )
-    positive = [i for i, row in enumerate(manifest) if row.group is Group.POSITIVE]
-    unlabeled = [i for i, row in enumerate(manifest) if row.group is Group.UNLABELED]
-    return PUDataset(space, rows.take(positive + unlabeled), len(positive))
+    return PUDataset(space, rows, int(is_positive.sum()))

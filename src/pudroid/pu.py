@@ -152,7 +152,7 @@ def clean_and_retrain(
         PUModel(base, e), mu, target=rescale_target, trigger=rescale_trigger
     )
     p_rows, u_rows = np.arange(ds.n_positive), np.arange(ds.n_positive, len(z))
-    is_flagged = detect_contaminants(pu, X[u_rows])
+    is_flagged = detect_contaminants(pu, BinaryMatrix.from_rows(ds.unlabeled, ds.space.dimension))
     if is_flagged.all():  # P is non-empty, so only an all-flagged U leaves one class
         raise TrainingError(f"retrain: all {len(u_rows)} unlabeled samples were flagged; "
                             "the cleaned set has one class")

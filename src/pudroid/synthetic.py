@@ -25,6 +25,7 @@ from .features import FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
 
 SIGNAL_RATE = 0.8
 BACKGROUND_RATE = 0.05
+_DRAW_BLOCK = 1 << 16  # the most uniforms drawn at once
 
 
 class SpecError(ValueError):
@@ -103,15 +104,22 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     pos_rates, neg_rates = _class_rates(spec)
     families = np.arange(spec.n_positive) % spec.n_families
 
-    pos_X = rng.random((spec.n_positive, spec.dimension)) < pos_rates[families]
-    neg_X = rng.random((spec.n_negative, spec.dimension)) < neg_rates
+    n_pos, n = spec.n_positive, spec.n_positive + spec.n_negative
+    X = np.empty((n, spec.dimension), dtype=bool)  # true positives first
+    # the uniforms come in row blocks of at most max(d, _DRAW_BLOCK) values; the
+    # blocks consume the generator's stream in order, so their size moves no draw
+    step = max(1, _DRAW_BLOCK // max(spec.dimension, 1))
+    for low, high in ((0, n_pos), (n_pos, n)):
+        for start in range(low, high, step):
+            stop = min(start + step, high)
+            rates = pos_rates[families[start:stop]] if high == n_pos else neg_rates
+            np.less(rng.random((stop - start, spec.dimension)), rates, out=X[start:stop])
     labeled = rng.random(spec.n_positive) < spec.label_frequency_c
 
     # one CSR block of all samples, true positives first; the dataset gathers
     # its P-then-U block from it
-    n_pos, n = spec.n_positive, spec.n_positive + spec.n_negative
     ids = [f"pos-{i:05d}" for i in range(n_pos)] + [f"neg-{i:05d}" for i in range(n - n_pos)]
-    row_of, on = np.nonzero(np.concatenate([pos_X, neg_X]))
+    row_of, on = np.nonzero(X)
     hidden = (np.arange(n) < n_pos).astype(np.int64)
     rows = SampleRows(tuple(ids), offsets(np.bincount(row_of, minlength=n)), on, hidden)
     p_rows = np.flatnonzero(labeled)

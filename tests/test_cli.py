@@ -446,6 +446,21 @@ class TestExitCodes:
              "{path}: indices must be strictly increasing"),
             ("deep", b"[" * 100000 + b"]" * 100000,  # past the parser's recursion limit
              "{path}: dataset JSON: $ is nested too deeply to parse"),
+            ("bom", "\ufeff{}".encode(),
+             "{path}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ("trailing", b'{"schema": "x"} x', "{path}: Extra data: line 1 column 17 (char 16)"),
+            ("repeated-key", f'{{"schema": "{DATASET_SCHEMA}", "schema": "x"}}'.encode(),
+             "{path}: unsupported dataset schema: 'x'"),
+            ("truncated",
+             f'{{"schema": "{DATASET_SCHEMA}", "features": [["a", "api"]], '
+             '"positives": [{"id": "p", "on": [0'.encode(),
+             "{path}: Expecting ',' delimiter: line 1 column 95 (char 94)"),
+            ("true-in-on",
+             json.dumps({
+                 "schema": DATASET_SCHEMA, "features": [["a", "api"]],
+                 "positives": [{"id": "p", "on": [True]}], "unlabeled": [],
+             }).encode(),
+             "{path}: dataset JSON: $.positives[0].on must hold only integers"),
         ]
     ] + [
         pytest.param(

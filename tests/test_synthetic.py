@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import pudroid.synthetic
 from pudroid.datasets import dataset_to_dict
 from pudroid.features import dense_matrix
 from pudroid.synthetic import (
@@ -65,6 +68,14 @@ class TestGeneration:
 
         assert drawn(SMALL) == drawn(SMALL)
         assert drawn(SyntheticSpec(**{**vars(SMALL), "seed": 6})) != drawn(SMALL)
+
+    @pytest.mark.parametrize("block", [1, 350, 2500, 1 << 20])
+    def test_draw_block_size_moves_no_draw(self, block):
+        # at d = 50: blocks of one row, of 7 and 50 rows (which divide neither
+        # class's 120 and 240 rows), and of a whole class
+        whole = dataset_to_dict(generate_synthetic(SMALL).dataset)
+        with mock.patch.object(pudroid.synthetic, "_DRAW_BLOCK", block):
+            assert dataset_to_dict(generate_synthetic(SMALL).dataset) == whole
 
     def test_families_assigned_round_robin(self):
         data = generate_synthetic(SMALL)
