@@ -129,7 +129,11 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
         fh.write("\n}\n")
 
 
-_WINDOW = 1 << 20  # bytes the reader takes from the file per refill
+# bytes the reader takes from the file per refill; a refill holds the bytes, the
+# old text and the new one. Loading a 9.3 MB file peaked 2.6 MB higher with a
+# 1 MiB window than with this one in a fresh process, and 7.4 MB higher in a
+# process that had built other data first
+_WINDOW = 1 << 18
 _SCAN = make_scanner(json.JSONDecoder())  # (value, end) of the JSON value at an offset
 _WS = r"[ \t\n\r]*"  # JSON whitespace
 _OPEN = re.compile(_WS + r"\{" + _WS + "(}?)")  # the document's "{", and "}" if it is empty

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,18 +193,48 @@ def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
     return out
 
 
-def _segment_sums(values: np.ndarray, nonempty: np.ndarray, starts: np.ndarray,
-                  size: int) -> np.ndarray:
-    """(size,) sums: slot nonempty[k] sums values[starts[k]:starts[k + 1]], others are 0.
+_CHUNK = 1 << 16  # about this many stored ones are gathered at once by the products
 
-    reduceat would return an element, not 0, for an empty segment, and raises
-    on a start equal to len(values), so only non-empty segments are passed.
+
+class _Segments(NamedTuple):
+    """A matrix's non-empty rows or columns as runs of its stored ones, in chunks
+    of whole runs: the plan of one product."""
+
+    slots: np.ndarray  # the non-empty rows or columns, ascending
+    starts: np.ndarray  # where each run starts, counted from its chunk's first one
+    chunks: tuple[tuple[int, int, int, int], ...]  # (first run, end run, first one, end one)
+
+    @classmethod
+    def of(cls, slots: np.ndarray, starts: np.ndarray, total: int) -> _Segments:
+        """Run k of slots[k] from starts[k] to the next start (total for the last);
+        a chunk opens at the first run that starts at or past each multiple of _CHUNK."""
+        first = np.flatnonzero(np.diff(starts // _CHUNK, prepend=-1))
+        end = np.append(first[1:], len(starts))
+        bounds = np.append(starts, total)
+        local = starts - np.repeat(starts[first], end - first)
+        chunks = zip(first.tolist(), end.tolist(), bounds[first].tolist(), bounds[end].tolist())
+        return cls(slots, local, tuple(chunks))
+
+
+def _segment_sums(values: np.ndarray, index: np.ndarray, segments: _Segments,
+                  size: int) -> np.ndarray:
+    """(size,) sums: slot segments.slots[k] sums values.take(index) over run k, others are 0.
+
+    take copies its index before it gathers unless the index is a writeable
+    intp array: a dataset block's `indices` is read-only, and the column
+    product's row index is narrow. So the runs are gathered and reduced a
+    chunk at a time, and no temporary is longer than a chunk (or its one run,
+    when a run is longer). Each run is still summed by one reduceat
+    call over the same values in the same order, so the chunking moves no bit.
+    reduceat would return an element, not 0, for an empty run, and raises on a
+    start equal to len(values), so only non-empty runs are segments.
+    take(mode="wrap") is numpy's fastest gather; every index is in range, so
+    nothing wraps.
     """
-    if len(nonempty) == size:
-        return np.add.reduceat(values, starts)
     out = np.zeros(size)
-    if len(nonempty):
-        out[nonempty] = np.add.reduceat(values, starts)
+    slots, starts = segments.slots, segments.starts
+    for lo, hi, a, b in segments.chunks:
+        out[slots[lo:hi]] = np.add.reduceat(values.take(index[a:b], mode="wrap"), starts[lo:hi])
     return out
 
 
@@ -213,9 +243,13 @@ class BinaryMatrix:
     """An (n, dimension) 0/1 matrix as CSR rows: the one input the learners
     train and score on. Row i is 1 at indices[indptr[i]:indptr[i + 1]].
 
-    The products and the bool view are built from the CSR arrays on first use
-    and cached, so the sparse-to-matrix step costs no copy; the row index of
-    each stored one that they need is built per use and not kept.
+    The bool view and each product's plan are built from the CSR arrays on
+    first use and cached, so the sparse-to-matrix step costs no copy. X @ w
+    gathers through `indices` itself. X.T @ r gathers through a cached row
+    index of the stored ones in column order, in the narrowest unsigned type
+    that holds a row number (2 bytes per one below 65,536 rows): the one
+    array as long as `indices` that the matrix adds. A product holds no
+    temporary longer than a chunk of about `_CHUNK` stored ones.
     """
 
     indptr: np.ndarray  # int64, n + 1
@@ -235,40 +269,47 @@ class BinaryMatrix:
         indptr, indices = _gather(self.indptr, self.indices, np.asarray(rows, dtype=np.int64))
         return BinaryMatrix(indptr, indices, self.dimension)
 
-    # The products gather with take(mode="wrap"), numpy's fastest gather here;
-    # every index is in range, so nothing wraps.
-
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         """X @ w."""
-        rows, starts = self._row_segments
-        return _segment_sums(w.take(self.indices, mode="wrap"), rows, starts, self.shape[0])
+        return _segment_sums(w, self.indices, self._row_segments, self.shape[0])
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """X.T @ r."""
-        cols, starts, row_of = self._column_segments
-        return _segment_sums(r.take(row_of, mode="wrap"), cols, starts, self.dimension)
+        segments, row_of = self._column_segments
+        return _segment_sums(r, row_of, segments, self.dimension)
 
     @cached_property
     def bool_rows(self) -> np.ndarray:
         """(n, dimension) C-contiguous bool matrix, for the tree grower and scorer."""
         out = np.zeros(self.shape, dtype=bool)
-        out[self._row_of(), self.indices] = True
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = True
         return out
 
-    def _row_of(self) -> np.ndarray:
-        """Row index of each stored one, a fresh array per call."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     @cached_property
-    def _row_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(non-empty rows, their start offsets into indices)."""
+    def _row_segments(self) -> _Segments:
+        """The non-empty rows' segments."""
         rows = np.flatnonzero(np.diff(self.indptr))
-        return rows, self.indptr[rows]
+        return _Segments.of(rows, self.indptr[rows], len(self.indices))
 
     @cached_property
-    def _column_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(non-empty columns, their start offsets, the row of each one in column order)."""
-        order = np.argsort(self.indices, kind="stable")
-        colptr = offsets(np.bincount(self.indices, minlength=self.dimension))
+    def _column_segments(self) -> tuple[_Segments, np.ndarray]:
+        """(the non-empty columns' segments, the row of each stored one in column order).
+
+        Each stored one is keyed as index * n + row in the narrowest type that
+        holds n * max(d, 1): one in-place sort puts the keys in column order, each
+        column's rows ascending, as a stable sort of the ones by column would.
+        Column j starts at the first key at or past j * n, and a key's row is
+        its remainder by n. (np.bincount would copy a read-only `indices`.)
+        """
+        n, d = self.shape
+        key = np.min_scalar_type(n * max(d, 1))
+        keys = np.empty(len(self.indices), dtype=key)
+        np.multiply(self.indices, n, out=keys, casting="unsafe")
+        keys += np.repeat(np.arange(n, dtype=key), np.diff(self.indptr))
+        keys.sort()
+        colptr = np.append(np.searchsorted(keys, (np.arange(d) * n).astype(key)), len(keys))
+        row_of = np.empty(len(keys), dtype=np.min_scalar_type(max(n - 1, 0)))
+        np.remainder(keys, n, out=row_of, casting="unsafe")
+        del keys
         cols = np.flatnonzero(np.diff(colptr))
-        return cols, colptr[cols], self._row_of()[order]
+        return _Segments.of(cols, colptr[cols], len(row_of)), row_of

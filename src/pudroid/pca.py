@@ -105,7 +105,7 @@ def pca_project(ds: PUDataset) -> PcaProjection:
     if not n:
         raise ValueError("cannot project an empty dataset")
     X = BinaryMatrix.from_rows(samples, d)
-    mu = np.bincount(samples.indices, minlength=d) / n
+    mu = X.rmatvec(np.ones(n)) / n  # exact counts; np.bincount would copy the read-only indices
     zero_variance = bool(np.all((mu == 0) | (mu == 1)))
     coords, variances, unconverged = np.zeros((2, n)), np.zeros(2), ()
     if not zero_variance:

@@ -116,16 +116,19 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
             np.less(rng.random((stop - start, spec.dimension)), rates, out=X[start:stop])
     labeled = rng.random(spec.n_positive) < spec.label_frequency_c
 
-    # one CSR block of all samples, true positives first; the dataset gathers
-    # its P-then-U block from it
-    ids = [f"pos-{i:05d}" for i in range(n_pos)] + [f"neg-{i:05d}" for i in range(n - n_pos)]
-    row_of, on = np.nonzero(X)
+    # the P-then-U block: the labeled positives, the unlabeled ones, then the
+    # negatives, each in draw order; only the positives' rows move, in place,
+    # and the block's indices are the flat positions of its ones modulo d
+    order = np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
+    X[:n_pos] = X[order]
+    indices = np.flatnonzero(X)
+    np.remainder(indices, spec.dimension, out=indices)  # empty when d is 0
+    pos_ids = [f"pos-{i:05d}" for i in range(n_pos)]
+    ids = [*map(pos_ids.__getitem__, order.tolist()), *(f"neg-{i:05d}" for i in range(n - n_pos))]
     hidden = (np.arange(n) < n_pos).astype(np.int64)
-    rows = SampleRows(tuple(ids), offsets(np.bincount(row_of, minlength=n)), on, hidden)
-    p_rows = np.flatnonzero(labeled)
-    order = np.concatenate([p_rows, np.flatnonzero(~labeled), np.arange(n_pos, n)])
-    dataset = PUDataset(_feature_space(spec.dimension), rows.take(order), len(p_rows))
-    return SyntheticData(dataset, dict(zip(ids, families.tolist())), spec)
+    rows = SampleRows(tuple(ids), offsets(np.count_nonzero(X, axis=1)), indices, hidden)
+    dataset = PUDataset(_feature_space(spec.dimension), rows, int(labeled.sum()))
+    return SyntheticData(dataset, dict(zip(pos_ids, families.tolist())), spec)
 
 
 def analytic_posterior(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:

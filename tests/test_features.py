@@ -1,11 +1,13 @@
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pudroid.features
 from conftest import dataset_from_rows, matrix_of, pu_datasets, row_lists, rows_of, space_of
 from pudroid.datasets import dataset_from_dict, dataset_to_dict
 from pudroid.features import (
@@ -16,6 +18,7 @@ from pudroid.features import (
     FeatureSpace,
     PUDataset,
     dense_matrix,
+    offsets,
 )
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
@@ -248,3 +251,99 @@ class TestBinaryMatrixOracle:
         assert np.array_equal(M[order].bool_rows, X[order])
         twin = matrix_of(X)
         assert np.array_equal(twin.indptr, M.indptr) and np.array_equal(twin.indices, M.indices)
+
+
+def _unchunked(M: BinaryMatrix, w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X @ w and X.T @ r as the products computed them before they were chunked:
+    one gather over every stored one and one reduceat over the non-empty rows,
+    and the same over the ones in column order (a stable argsort of the
+    indices) for the columns."""
+    (n, d), lengths = M.shape, np.diff(M.indptr)
+    xw, xtr = np.zeros(n), np.zeros(d)
+    rows = np.flatnonzero(lengths)
+    if len(rows):
+        xw[rows] = np.add.reduceat(w[M.indices], M.indptr[rows])
+    colptr = offsets(np.bincount(M.indices, minlength=d))
+    cols = np.flatnonzero(np.diff(colptr))
+    if len(cols):
+        row_of = np.repeat(np.arange(n), lengths)[np.argsort(M.indices, kind="stable")]
+        xtr[cols] = np.add.reduceat(r[row_of], colptr[cols])
+    return xw, xtr
+
+
+# rows over d = 7 columns, column 3 never set; the last row has every other
+# column, so columns 0, 1, 2, 4, 5 and 6 can hold runs longer than a chunk
+CHUNK_ROWS = st.lists(st.sets(st.sampled_from([0, 1, 2, 4, 5, 6])).map(sorted), max_size=40)
+
+
+class TestChunkedProducts:
+    """X @ w and X.T @ r, gathered and reduced a chunk at a time, against one
+    reduceat over every stored one, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=CHUNK_ROWS, chunk=st.integers(1, 64), n_p=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), gathered=st.booleans())
+    def test_bit_identical_to_one_reduceat(self, rows, chunk, n_p, seed, gathered):
+        rows = [[], *rows[: len(rows) // 2], [], *rows[len(rows) // 2:], [0, 1, 2, 4, 5, 6]]
+        ds = PUDataset(space_of(7), rows_of([str(i) for i in range(len(rows))], rows),
+                       min(n_p, len(rows)))
+        M = BinaryMatrix.from_rows(ds.samples, 7)
+        if gathered:  # a writeable block, as the learners' training rows are
+            M = M[np.arange(len(rows))]
+        assert M.indices.flags.writeable == gathered
+        rng = np.random.default_rng(seed)
+        # magnitudes far apart, so that a sum in another order shows in the bits
+        w = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7)
+        r = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-8, 9, len(rows))
+        with mock.patch.object(pudroid.features, "_CHUNK", chunk):
+            xw, xtr = M @ w, M.rmatvec(r)
+            segments = M._row_segments, M._column_segments[0]
+        want_xw, want_xtr = _unchunked(M, w, r)
+        assert xw.tobytes() == want_xw.tobytes()
+        assert xtr.tobytes() == want_xtr.tobytes()
+        run_lengths = np.diff(M.indptr), np.bincount(M.indices, minlength=7)
+        for plan, lengths in zip(segments, run_lengths):
+            # whole runs, in order, tiling the stored ones; none longer than a
+            # chunk unless its longest run is
+            ends = [(a, b) for _, _, a, b in plan.chunks]
+            assert [a for a, _ in ends] == [0] + [b for _, b in ends[:-1]]
+            assert (ends[-1][1] if ends else 0) == len(M.indices)
+            assert all(b - a < chunk + lengths.max() for a, b in ends)
+
+    def test_column_row_index_is_narrow(self):
+        M = BinaryMatrix.from_rows(rows_of(["a", "b", "c"], [[1], [0, 1], []]), 2)
+        row_of = M._column_segments[1]
+        assert row_of.dtype == np.uint8 and row_of.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_keys_hold_the_row_count_when_d_is_below_two(self, d):
+        # 256 rows: n * d - 1 fits a uint8 but n does not
+        M = BinaryMatrix.from_rows(rows_of([str(i) for i in range(256)], [[0] * d] * 256), d)
+        assert M.rmatvec(np.ones(256)).tolist() == [256.0] * d
+        assert (M @ np.ones(d)).tolist() == [float(d)] * 256
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_products_hold_no_index_long_temporary():
+    spec = SyntheticSpec(n_positive=2000, n_negative=6000, dimension=480, seed=4)
+    X = BinaryMatrix.from_rows(generate_synthetic(spec).dataset.samples, spec.dimension)
+    assert 380_000 < len(X.indices) < 420_000 and not X.indices.flags.writeable
+    n, d = X.shape
+    one_int64_per_one = 8 * len(X.indices)
+    w, r = np.ones(d), np.ones(n)
+    # the row index in column order: 4-byte keys and the rows they add, then the
+    # 2-byte index (3.0x when it was a stable argsort and two int64 gathers)
+    assert _traced_peak(lambda: X._column_segments) < 1.25 * one_int64_per_one
+    # a product: a chunk of the index (copied, as take copies a read-only or a
+    # narrow index) and a chunk of gathered values (2.0x and 1.0x when each
+    # product gathered every one at once)
+    assert _traced_peak(lambda: X @ w) < 0.5 * one_int64_per_one
+    assert _traced_peak(lambda: X.rmatvec(r)) < 0.5 * one_int64_per_one

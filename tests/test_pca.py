@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pudroid.cli import run
 from pudroid.datasets import save_dataset
 from pudroid.features import dense_matrix
 from pudroid.pca import pca_project, projection_csv, top_components
+from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 # a divide-by-zero or invalid value in a breakdown or zero-variance path is a bug
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -107,6 +109,23 @@ class TestProjection:
         coords_b = np.array([(x, y) for _, x, y, _ in b.rows])
         n = len(ds.positives)
         assert np.allclose(coords_a[:n], coords_b[:n], atol=1e-6)
+
+    def test_peak_is_the_basis_and_less_than_the_csr_block(self):
+        spec = SyntheticSpec(n_positive=2000, n_negative=6000, dimension=480, seed=4)
+        ds = generate_synthetic(spec).dataset  # about 400k stored ones
+        size = min(pca.MAX_BASIS, spec.dimension)
+        basis = 8 * (2 * size * spec.dimension + size * size)  # V, W and T, reserved whole
+        csr = ds.samples.indptr.nbytes + ds.samples.indices.nbytes
+        tracemalloc.start()
+        try:
+            pca_project(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2-byte row index, a product's two chunks and the projection's
+        # rows: 0.74x the CSR bytes over the basis (3.09x when the products
+        # gathered every one at once and the row index was int64)
+        assert peak < basis + 1.5 * csr
 
 
 class TestNotConverged:
