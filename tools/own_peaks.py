@@ -1,18 +1,18 @@
 """Each pudroid command's own memory peak, one fresh process per command.
 
-    python3 tools/own_peaks.py [--seed 7] [--runs 1] [--work DIR]
+    python3 tools/own_peaks.py [--runs 1]
 
-Builds the benchmark's inputs for the seed with `perfbench/inputs.py`
-(imported, never changed), then runs the analyst workflow (ingest,
-select-features --eta 6, pca, clean --learner linear), `clean --learner
-forest` and `experiment --protocol rq2` as the benchmark does: each in a new
-process whose output streams go to one file, as the benchmark's do (a pipe
-instead moved the pca command's peak by 3 MB). Each process reads its own
-VmHWM from /proc/self/status after `pudroid.cli.run` returns, and the script
-prints a markdown table of them in MB of 2^20 bytes, with the median over
-the runs. Unlike `ru_maxrss`, VmHWM is not inherited from the parent across
-exec, so it is the command's own peak however much memory the caller holds.
-Exits 1 when a command fails. Linux only.
+Imports the benchmark's `perfbench/run.py` (never changed) and, for each of
+its workloads, builds the seed-7 inputs with the workload's `prepare` and
+runs the commands its `stages` list, in order, in one output directory per
+workload. Each command runs in a new process whose output streams go to one
+file, as the benchmark's do (a pipe instead moved the pca command's peak by
+3 MB), and reads its own VmHWM from /proc/self/status after
+`pudroid.cli.run` returns. The script prints a markdown table of them in MB
+of 2^20 bytes, with the median over the runs. Unlike `ru_maxrss`, VmHWM is
+not inherited from the parent across exec, so it is the command's own peak
+however much memory the caller holds. Exits 1 when a command fails. Linux
+only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import inputs  # noqa: E402  (perfbench/inputs.py)
+import run  # noqa: E402  (perfbench/run.py)
+
+SEED = 7
 
 CHILD = """
 import sys
@@ -41,38 +43,22 @@ print(f"\\nown-peak {code} {hwm_kib}")
 """
 
 
-def commands(work: Path, seed: int) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every measured command, on inputs built under work."""
-    corpus = inputs.corpus_inputs(work / "corpus", seed)
-    forest = inputs.forest_inputs(work / "forest", seed)
-    out = work / "out"
-    out.mkdir(exist_ok=True)
-    raw, selected = str(out / "raw.json"), str(out / "selected.json")
-    seed_arg = ["--seed", str(seed)]
-
-    def clean(dataset: str, learner: str) -> list[str]:
-        return ["clean", "--dataset", dataset, "--learner", learner, *seed_arg,
-                "--out", str(out / f"report-{learner}.json"),
-                "--cleaned-out", str(out / f"cleaned-{learner}.json")]
-
-    return [
-        ("ingest", ["ingest", "--manifest", str(corpus.files["manifest"]),
-                    "--ipmap", str(corpus.files["ipmap"]), "--out", raw]),
-        ("select-features", ["select-features", "--dataset", raw, "--eta", "6",
-                             "--out", selected]),
-        ("pca", ["pca", "--dataset", selected, "--out", str(out / "projection.csv")]),
-        ("clean --learner linear", clean(selected, "linear")),
-        ("clean --learner forest", clean(str(forest.files["dataset"]), "forest")),
-        ("experiment --protocol rq2", ["experiment", "--protocol", "rq2", "--ratios", "1,3,8",
-                                       "--n-trees", "30", *seed_arg,
-                                       "--out", str(out / "rq2.json")]),
-    ]
+def commands(work: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every benchmark command, on inputs built under work."""
+    todo = []
+    for name, workload in run.WORKLOADS.items():
+        inp = workload.prepare(work / name / "inputs", SEED)
+        out = work / name / "out"
+        out.mkdir(parents=True)
+        todo += [(f"{name} {argv[0]}", argv) for argv in workload.stages(inp, out, SEED)]
+    return todo
 
 
 def own_peak_mb(argv: list[str]) -> float:
     """The VmHWM of a fresh process running `pudroid argv`; raises when it fails."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env = dict(os.environ)
+    env.pop("PUDROID_SEED", None)  # as the benchmark's children run
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryFile("w+", encoding="utf-8") as log:
         done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                               stdout=log, stderr=subprocess.STDOUT, check=False)
@@ -86,17 +72,12 @@ def own_peak_mb(argv: list[str]) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--runs", type=int, default=1, help="runs of every command")
-    parser.add_argument("--work", type=Path,
-                        help="input and output directory (default: a temporary one)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
-        work.mkdir(parents=True, exist_ok=True)
-        todo = commands(work, args.seed)
+        todo = commands(Path(tmp))
         peaks: dict[str, list[float]] = {label: [] for label, _ in todo}
         try:
             for _ in range(args.runs):
@@ -105,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    print(f"Own VmHWM per command, seed {args.seed}, MB of 2^20 bytes\n")
-    print("| command | runs | median |")
+    print(f"Own VmHWM per command, seed {SEED}, MB of 2^20 bytes\n")
+    print("| workload command | runs | median |")
     print("|---|---|---|")
     for label, values in peaks.items():
         runs = ", ".join(f"{v:.2f}" for v in values)
