@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .features import BinaryMatrix, DimensionError
+from .features import BinaryMatrix, DimensionError, check_ranges
 
 FORMAT_VERSION = "pudroid-model/1"
 
@@ -60,45 +60,39 @@ class Learner(Enum):
     FOREST = "forest"
 
 
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
+# each field's "range" is checked here and by the CLI's flags
 @dataclass(frozen=True)
 class LinearParams:
-    learning_rate: float = 0.1
-    epochs: int = 200
-    l2: float = 1e-3
+    learning_rate: float = field(
+        default=0.1, metadata={"range": "(0, inf)", "help": "linear learning rate"}
+    )
+    epochs: int = field(default=200, metadata={"range": "[1, inf)"})
+    l2: float = field(default=1e-3, metadata={"range": "[0, inf)"})
 
     def __post_init__(self) -> None:
-        lr, l2 = self.learning_rate, self.l2
-        _require(math.isfinite(lr) and lr > 0, "learning_rate", "finite and > 0", lr)
-        _require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
-        _require(math.isfinite(l2) and l2 >= 0, "l2", "finite and >= 0", l2)
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    max_depth: int = 12
-    min_leaf: int = 5
+    max_depth: int = field(default=12, metadata={"range": "[0, inf)"})
+    min_leaf: int = field(default=5, metadata={"range": "[1, inf)"})
 
     def __post_init__(self) -> None:
-        _require(self.max_depth >= 0, "max_depth", ">= 0", self.max_depth)
-        _require(self.min_leaf >= 1, "min_leaf", ">= 1", self.min_leaf)
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_trees: int = 100
+    n_trees: int = field(default=100, metadata={"range": "[1, inf)"})
     features_per_split: Union[int, str] = "sqrt"
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         fps = self.features_per_split
-        _require(self.n_trees >= 1, "n_trees", ">= 1", self.n_trees)
-        ok = fps == "sqrt" or (type(fps) is int and fps >= 1)
-        _require(ok, "features_per_split", "'sqrt' or an integer >= 1", fps)
+        if not (fps == "sqrt" or (type(fps) is int and fps >= 1)):
+            raise ValueError(f"features_per_split must be 'sqrt' or an integer >= 1, got {fps!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__
 from .classifiers import ForestParams, Learner, LinearParams, TrainConfig, TreeParams
 from .datasets import load_dataset, save_dataset
+from .features import within
 from .ingest import build_dataset, load_manifest, load_resolver_map
 from .pca import pca_project, projection_csv
 from .protocols import protocol_rq1, protocol_rq2, protocol_rq3, protocol_rq4
@@ -33,7 +34,7 @@ from .selection import (
     project_dataset,
     select_features,
 )
-from .synthetic import SpecError, SyntheticSpec, generate_synthetic, within
+from .synthetic import SpecError, SyntheticSpec, generate_synthetic
 
 
 class UsageError(Exception):
@@ -121,14 +122,15 @@ _SPEC_PARSE = {
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", choices=[l.value for l in Learner], default="forest")
-    # the ranges of LinearParams, TreeParams and ForestParams, checked at the flag
-    p.add_argument("--lr", type=_in("(0, inf)", sets="learning_rate"), default=0.1,
-                   help="linear learning rate")
-    p.add_argument("--epochs", type=_in("[1, inf)", int, sets="epochs"), default=200)
-    p.add_argument("--l2", type=_in("[0, inf)", sets="l2"), default=1e-3)
-    p.add_argument("--max-depth", type=_in("[0, inf)", int, sets="max_depth"), default=12)
-    p.add_argument("--min-leaf", type=_in("[1, inf)", int, sets="min_leaf"), default=5)
-    p.add_argument("--n-trees", type=_in("[1, inf)", int, sets="n_trees"), default=100)
+    # each flag takes the range, default and help of the parameter it sets
+    fields = {f.name: f for params in (LinearParams, TreeParams, ForestParams)
+              for f in dataclasses.fields(params)}
+    for flag, name in (("--lr", "learning_rate"), ("--epochs", "epochs"), ("--l2", "l2"),
+                       ("--max-depth", "max_depth"), ("--min-leaf", "min_leaf"),
+                       ("--n-trees", "n_trees")):
+        f = fields[name]
+        p.add_argument(flag, type=_in(f.metadata["range"], _SPEC_TYPES[f.type], sets=name),
+                       default=f.default, help=f.metadata.get("help"))
     p.add_argument("--features-per-split", type=_features_per_split, default="sqrt")
     p.add_argument("--no-bootstrap", action="store_true")
 

@@ -1,10 +1,13 @@
-"""JSON round-tripping of PUDataset so CLI stages can be chained."""
+"""JSON round-tripping of PUDataset so CLI stages can be chained.
+
+save_dataset writes one layout, and load_dataset streams exactly that one;
+it reads any other text whole, to the same dataset or the same message.
+"""
 
 from __future__ import annotations
 
 import codecs
 import json
-import re
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import starmap
@@ -135,12 +138,6 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
 # process that had built other data first
 _WINDOW = 1 << 18
 _SCAN = make_scanner(json.JSONDecoder())  # (value, end) of the JSON value at an offset
-_WS = r"[ \t\n\r]*"  # JSON whitespace
-_OPEN = re.compile(_WS + r"\{" + _WS + "(}?)")  # the document's "{", and "}" if it is empty
-_COLON = re.compile(_WS + ":" + _WS)
-_MEMBER_END = re.compile(_WS + "([,}])" + _WS)
-_ARRAY_OPEN = re.compile(r"\[" + _WS + "(]?)")  # an array's "[", and "]" if it is empty
-_ITEM_END = re.compile(_WS + r"([,\]])" + _WS)
 _ENTRY_KEYS, _HIDDEN_ENTRY_KEYS = {"id", "on"}, {"hidden", "id", "on"}
 
 
@@ -149,13 +146,13 @@ class _Refused(Exception):
 
 
 class _Reader:
-    """Reads a dataset file one JSON value at a time, through a window of its
-    text: a top-level value, or one element of features, positives or
-    unlabeled. A sample's id, on-indices and hidden go straight into the
-    arrays of one P-then-U block, so neither the parse tree nor the whole
-    text is ever held. Only what save_dataset writes is accepted, up to key
-    order, whitespace, string escapes and extra top-level keys; anything else
-    raises _Refused."""
+    """Reads a dataset file one array element at a time, through a window of
+    its text. The text between elements must be save_dataset's bytes, matched
+    as literals; an element (a feature pair or a sample) is decoded by the
+    JSON scanner, so it may hold any whitespace and string escapes. A sample's
+    id, on-indices and hidden go straight into the arrays of one P-then-U
+    block, so neither the parse tree nor the whole text is ever held.
+    Anything else raises _Refused."""
 
     def __init__(self, fh: BinaryIO):
         self.fh, self.text, self.at, self.literals = fh, "", 0, False
@@ -182,54 +179,42 @@ class _Reader:
         self.literals = "u" in text and "true" in text or "l" in text and "false" in text
         return True
 
-    def _match(self, pattern: re.Pattern) -> re.Match:
-        """`pattern` at the cursor, which moves past it. A match that reaches the
-        window's end is retried on more text, as is every scan below."""
-        while True:
-            m = pattern.match(self.text, self.at)
-            if (m is None or m.end() == len(self.text)) and self._more():
-                continue
-            if m is None:
-                raise _Refused
-            self.at = m.end()
-            return m
+    def _skip(self, literal: str) -> bool:
+        """Whether `literal` is the text at the cursor, which then moves past it."""
+        while len(self.text) - self.at < len(literal) and self._more():
+            pass
+        found = self.text.startswith(literal, self.at)
+        self.at += len(literal) if found else 0
+        return found
 
-    def _scan(self, end: re.Pattern) -> tuple[object, re.Match]:
-        """The value at the cursor and the match of `end` after it."""
-        while True:
-            try:
-                value, stop = _SCAN(self.text, self.at)
-                m = end.match(self.text, stop)
-            except (StopIteration, ValueError):  # no value here, or one cut short
-                m = None
-            if (m is None or m.end() == len(self.text)) and self._more():
-                continue
-            if m is None:
-                raise _Refused
-            self.at = m.end()
-            return value, m
-
-    def _array(self, store) -> None:
-        """Pass each element of the array at the cursor to store."""
-        if self._match(_ARRAY_OPEN).group(1):
+    def _array(self, before: str, store) -> None:
+        """Skip `before` and pass each element of the array after it to store.
+        A value cut short, or one that leaves fewer than 6 characters (the
+        longer separator) in the window, is scanned again on more text."""
+        if self._skip(before + "[]"):
             return
-        text, at, scan, match = self.text, self.at, _SCAN, _ITEM_END.match
-        while True:  # _scan(_ITEM_END) inlined, but for the window's end
+        if not self._skip(before + "[\n    "):
+            raise _Refused
+        text, at = self.text, self.at
+        while True:
             try:
-                value, stop = scan(text, at)
-                m = match(text, stop)
-            except (StopIteration, ValueError):
-                m = None
-            if m is None or m.end() == len(text):
+                value, stop = _SCAN(text, at)
+            except (StopIteration, ValueError):  # no value here, or one cut short
+                stop = len(text)
+            if len(text) - stop < 6:
                 self.at = at
-                value, m = self._scan(_ITEM_END)
+                if not self._more():
+                    raise _Refused
                 text, at = self.text, self.at
-            else:
-                at = m.end()
+                continue
             store(value)
-            if m.group(1) == "]":
-                self.at = at
+            if text.startswith(",\n    ", stop):
+                at = stop + 6
+            elif text.startswith("\n  ]", stop):
+                self.at = stop + 4
                 return
+            else:
+                raise _Refused
 
     def _feature(self, pair) -> None:
         if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
@@ -259,27 +244,12 @@ class _Reader:
 
     def read(self) -> None:
         """Read the whole file; refuse it, or set n_positive."""
-        members: dict[str, object] = {}
-        end = self._match(_OPEN)
-        while end.group(1) != "}":
-            key, _ = self._scan(_COLON)
-            if type(key) is not str or key in members:
-                raise _Refused
-            if key == "features":
-                self._array(self._feature)
-            elif key in ("positives", "unlabeled"):
-                if key == "unlabeled" and "positives" not in members:
-                    raise _Refused
-                self._array(self._sample)
-            else:
-                members[key], end = self._scan(_MEMBER_END)
-                continue
-            members[key] = len(self.ids)
-            end = self._match(_MEMBER_END)
-        if self.at < len(self.text) or members.get("schema") != DATASET_SCHEMA \
-                or not {"features", "positives", "unlabeled"} <= members.keys():
-            raise _Refused
-        self.n_positive = members["positives"]
+        self._array('{\n  "features": ', self._feature)
+        self._array(',\n  "positives": ', self._sample)
+        self.n_positive = len(self.ids)
+        self._array(f',\n  "schema": {_quote(DATASET_SCHEMA)},\n  "unlabeled": ', self._sample)
+        if not self._skip("\n}\n") or self.at < len(self.text) or self._more():
+            raise _Refused  # not the document's end, or text after it
 
     def dataset(self) -> PUDataset:
         space = FeatureSpace(tuple(self.features))  # checked first, as dataset_from_dict does
@@ -307,9 +277,9 @@ def _load_whole(path: str | Path) -> PUDataset:
 def load_dataset(path: str | Path) -> PUDataset:
     """The dataset in the file at `path`; every data fault names the file.
 
-    The file is read one element at a time (_Reader). A file the reader
-    refuses, faulty or merely laid out otherwise, is read again whole, and
-    json.loads and dataset_from_dict name its fault or load it.
+    A file laid out as save_dataset writes it is read one element at a time
+    (_Reader); any other, faulty or merely laid out otherwise, is read again
+    whole, and json.loads and dataset_from_dict name its fault or load it.
     """
     try:
         with open(path, "rb") as fh:

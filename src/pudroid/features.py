@@ -10,7 +10,7 @@ the block it is given and makes its arrays read-only, and its `positives` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -25,6 +25,22 @@ class DimensionError(ValueError):
 
 class DatasetError(ValueError):
     """A sample or dataset violates a structural invariant."""
+
+
+def within(value, interval: str) -> bool:
+    """Whether value lies in an interval written "[low, high)" and the like; NaN lies in none."""
+    low, high = map(float, interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
+
+
+def check_ranges(params, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming the first field of the dataclass `params` whose value
+    is outside the interval its metadata declares as "range"."""
+    for f in fields(params):
+        value, interval = getattr(params, f.name), f.metadata.get("range")
+        if interval and not within(value, interval):
+            raise error(f"{f.name} must be in {interval}, got {value!r}")
 
 
 class FeatureKind(Enum):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import DimensionError, FeatureSpace, PUDataset, SampleRows
+from .features import _CHUNK, DimensionError, FeatureSpace, PUDataset, SampleRows
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,11 @@ def count_occurrences(ds: PUDataset) -> OccurrenceCounts:
     """Per-feature occurrence counts over P and over U."""
 
     def count(group: SampleRows) -> tuple[int, ...]:
-        return tuple(np.bincount(group.indices, minlength=ds.space.dimension).tolist())
+        # bincount copies a read-only array whole, so it gets _CHUNK ones at a time
+        counts, on = np.zeros(ds.space.dimension, dtype=np.int64), group.indices
+        for start in range(0, len(on), _CHUNK):
+            counts += np.bincount(on[start:start + _CHUNK], minlength=len(counts))
+        return tuple(counts.tolist())
 
     return OccurrenceCounts(count(ds.positives), count(ds.unlabeled))
 

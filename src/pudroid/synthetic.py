@@ -17,11 +17,11 @@ posterior p(y=1 | x) is available for oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
+from .features import FeatureKind, FeatureSpace, PUDataset, SampleRows, check_ranges, offsets
 
 SIGNAL_RATE = 0.8
 BACKGROUND_RATE = 0.05
@@ -32,13 +32,6 @@ class SpecError(ValueError):
     def __init__(self, message: str, fields: tuple[str, ...] = ()):  # of a check across fields
         super().__init__(message)
         self.fields = fields
-
-
-def within(value, interval: str) -> bool:
-    """Whether value lies in an interval written "[low, high)" and the like; NaN lies in none."""
-    low, high = map(float, interval[1:-1].split(","))
-    above = low < value if interval[0] == "(" else low <= value
-    return above and (value < high if interval[-1] == ")" else value <= high)
 
 
 @dataclass(frozen=True)
@@ -57,10 +50,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, interval = getattr(self, f.name), f.metadata.get("range")
-            if interval and not within(value, interval):
-                raise SpecError(f"{f.name} must be in {interval}, got {value!r}")
+        check_ranges(self, SpecError)
         if self.n_families > self.n_positive:
             raise SpecError("n_families must be at most n_positive", ("n_families", "n_positive"))
         if self.signal_features * self.n_families > self.dimension:

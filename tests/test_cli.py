@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pudroid
+from pudroid.classifiers import ForestParams, LinearParams, TreeParams
 from pudroid.cli import UsageError, _spec_from_args, build_parser, run
 from pudroid.datasets import load_dataset, save_dataset
 from pudroid.report import DATASET_SCHEMA
@@ -717,28 +718,39 @@ class TestGeneratorSpec:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # every field with a declared range, the class that declares it, and its flag
+    RANGED = {f.name: (cls, f) for cls in (SyntheticSpec, LinearParams, TreeParams, ForestParams)
+              for f in dataclasses.fields(cls) if "range" in f.metadata}
+    FLAG = {"learning_rate": "--lr"}
+
     @pytest.mark.parametrize("name, bad", [
         ("n_positive", "0"), ("n_negative", "-3"), ("dimension", "-1"), ("signal_features", "-1"),
         ("flip_noise", "0.5"), ("flip_noise", "nan"), ("flip_noise", "-0.1"),
         ("label_frequency_c", "0"), ("label_frequency_c", "1.5"), ("n_families", "0"),
+        ("learning_rate", "0"), ("learning_rate", "inf"), ("epochs", "0"), ("l2", "-0.5"),
+        ("l2", "nan"), ("max_depth", "-1"), ("min_leaf", "0"), ("n_trees", "0"),
     ])
     def test_out_of_range_input_names_its_source(self, tmp_path, capsys, name, bad):
-        # one declared range, checked at the flag (exit 1), at the spec-file key
-        # (exit 2, naming file and line) and by SyntheticSpec itself
-        f = self.FIELDS[name]
+        # one declared range, checked at the flag (exit 1), at a generator
+        # spec-file key (exit 2, naming file and line) and by its dataclass itself
+        cls, f = self.RANGED[name]
         rule = f"{name} must be in {f.metadata['range']}, got {bad!r}"
-        flag, out = "--" + name.replace("_", "-"), tmp_path / "o.json"
+        flag = self.FLAG.get(name, "--" + name.replace("_", "-"))
+        out = tmp_path / "o.json"
         assert run(["experiment", "--protocol", "rq1", flag, bad, "--out", str(out)]) == 1
         assert f"argument {flag}: {rule}" in capsys.readouterr().err
-        spec_file = tmp_path / "spec.txt"
-        spec_file.write_text(f"# generator\n{name}={bad}\n")
-        argv = ["experiment", "--protocol", "rq1", "--spec-file", str(spec_file), "--out", str(out)]
-        assert run(argv) == 2
-        assert f"{spec_file}: line 2: {rule}" in capsys.readouterr().err
+        if cls is SyntheticSpec:
+            spec_file = tmp_path / "spec.txt"
+            spec_file.write_text(f"# generator\n{name}={bad}\n")
+            argv = ["experiment", "--protocol", "rq1", "--spec-file", str(spec_file),
+                    "--out", str(out)]
+            assert run(argv) == 2
+            assert f"{spec_file}: line 2: {rule}" in capsys.readouterr().err
         assert not out.exists()
         value = {"int": int, "float": float}[f.type](bad)
-        with pytest.raises(SpecError, match=f"{name} must be in"):
-            SyntheticSpec(**{name: value})
+        with pytest.raises(SpecError if cls is SyntheticSpec else ValueError,
+                           match=f"{name} must be in"):
+            cls(**{name: value})
 
     @pytest.mark.parametrize("keys, flags, named", [
         ("", ["--n-families", "5", "--n-positive", "3"], "--n-families/--n-positive"),

@@ -145,21 +145,35 @@ class TestReaderOracle:
     @given(ds=datasets(), rnd=st.randoms(use_true_random=False),
            extra=st.dictionaries(st.sampled_from(["note", "version", "é"]), JSON_VALUES,
                                  max_size=2),
-           u_first=st.booleans(), window=st.sampled_from([1, 2, 3, 7, 64, 1 << 20]))
-    def test_hand_edited_layouts(self, ds, rnd, extra, u_first, window, tmp_path_factory):
-        # reordered keys, other whitespace, \uXXXX escapes, extra top-level keys;
-        # only U before P is read whole
+           window=st.sampled_from([1, 2, 3, 7, 64, 1 << 20]))
+    def test_hand_edited_layouts(self, ds, rnd, extra, window, tmp_path_factory):
+        # reordered keys, other whitespace, \uXXXX escapes, extra top-level keys:
+        # a text that is not save_dataset's bytes is read whole, to the same result
         data = {**dataset_to_dict(ds), **extra}
         keys = rnd.sample(list(data), len(data))
-        p, u = keys.index("positives"), keys.index("unlabeled")
-        if (p > u) != u_first:
-            keys[p], keys[u] = keys[u], keys[p]
         text = _Layout(rnd).ws() + _Layout(rnd).value(data, keys) + _Layout(rnd).ws()
         path = tmp_path_factory.mktemp("r") / "ds.json"
+        save_dataset(ds, path)
+        saved = path.read_bytes()
         path.write_bytes(text.encode("utf-8"))
         loaded, whole = _load(path, window)
-        assert whole == u_first
+        assert whole == (text.encode("utf-8") != saved)
         assert dataset_to_dict(loaded) == _reference(text) == dataset_to_dict(ds)
+
+    @pytest.mark.parametrize("window", [1, pudroid.datasets._WINDOW])
+    def test_benchmark_input_layout_streams(self, tmp_path, window):
+        # json.dumps(sort_keys=True, indent=2) with the hidden labels dropped, as
+        # the benchmark writes the clean-forest input: save_dataset's own bytes
+        spec = SyntheticSpec(n_positive=60, n_negative=120, dimension=40, seed=3)
+        data = dataset_to_dict(generate_synthetic(spec).dataset)
+        for entry in data["positives"] + data["unlabeled"]:
+            entry.pop("hidden", None)
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "ds.json"
+        path.write_text(text, encoding="utf-8")
+        loaded, whole = _load(path, window)
+        assert not whole
+        assert dataset_to_dict(loaded) == _reference(text)
 
     def test_repeated_key_is_read_whole(self, tmp_path):
         # json.loads keeps the last of a repeated key; the reader leaves it to it

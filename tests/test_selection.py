@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from pudroid.selection import (
     project_dataset,
     select_features,
 )
+from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 
 class TestThresholds:
@@ -55,6 +57,21 @@ class TestSelection:
         counts = count_occurrences(ds)
         assert counts.count_p == (1, 2, 0)
         assert counts.count_u == (0, 1, 2)
+
+    def test_counts_hold_a_chunk_not_a_copy_of_the_indices(self):
+        # a read-only int64 index array, as every dataset holds, of about 400k
+        # ones: np.bincount over it whole copies it first (2.3 MB for U)
+        spec = SyntheticSpec(n_positive=1000, n_negative=3000, dimension=1000, seed=2)
+        ds = generate_synthetic(spec).dataset
+        tracemalloc.start()
+        try:
+            counts = count_occurrences(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for group, got in ((ds.positives, counts.count_p), (ds.unlabeled, counts.count_u)):
+            assert got == tuple(np.bincount(group.indices.copy(), minlength=1000).tolist())
+        assert peak < ds.unlabeled.indices.nbytes / 2
 
     def test_or_rule(self):
         counts = OccurrenceCounts(count_p=(2, 0, 1, 0), count_u=(0, 4, 0, 3))
