@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, and "--l2 -1e-3"
+        # or "--rescale-trigger -inf" as a flag missing its value; no pudroid
+        # option looks like a number, so these are values too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
         raise UsageError(message)
 
@@ -337,6 +347,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         config={
             **report.config,
             "generator": dataclasses.asdict(spec),
+            "split_fraction": args.split_fraction,
             "threshold_rule": THRESHOLD_RULE,
         },
     )

@@ -1,7 +1,8 @@
 """JSON round-tripping of PUDataset so CLI stages can be chained.
 
-save_dataset writes one layout, and load_dataset streams exactly that one;
-it reads any other text whole, to the same dataset or the same message.
+save_dataset writes one layout, and load_dataset streams exactly that one,
+with or without its final newline; it reads any other text whole, to the
+same dataset or the same message.
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ class _Reader:
         self._array(',\n  "positives": ', self._sample)
         self.n_positive = len(self.ids)
         self._array(f',\n  "schema": {_quote(DATASET_SCHEMA)},\n  "unlabeled": ', self._sample)
-        if not self._skip("\n}\n") or self.at < len(self.text) or self._more():
+        ended = self._skip("\n}")
+        self._skip("\n")  # json.dump(indent=2) leaves the final newline out
+        if not ended or self.at < len(self.text) or self._more():
             raise _Refused  # not the document's end, or text after it
 
     def dataset(self) -> PUDataset:
@@ -277,9 +280,10 @@ def _load_whole(path: str | Path) -> PUDataset:
 def load_dataset(path: str | Path) -> PUDataset:
     """The dataset in the file at `path`; every data fault names the file.
 
-    A file laid out as save_dataset writes it is read one element at a time
-    (_Reader); any other, faulty or merely laid out otherwise, is read again
-    whole, and json.loads and dataset_from_dict name its fault or load it.
+    A file laid out as save_dataset writes it, with or without its final
+    newline, is read one element at a time (_Reader); any other, faulty or
+    merely laid out otherwise, is read again whole, and json.loads and
+    dataset_from_dict name its fault or load it.
     """
     try:
         with open(path, "rb") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,18 +55,11 @@ KIND_OF = {kind.value: kind for kind in FeatureKind}
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """Ordered universe of (name, kind) features; order defines vector indices.
-
-    Order is lexicographic by (kind, name) so identical inputs always produce
-    identical index assignments.
-    """
+    """Ordered universe of distinct (name, kind) features; order defines vector
+    indices. The space keeps the order it is given (ingest gives it in
+    (kind value, name) order)."""
 
     features: tuple[tuple[str, FeatureKind], ...]
-
-    @classmethod
-    def build(cls, keys: Iterable[tuple[str, str]]) -> "FeatureSpace":
-        """The space of the distinct (kind value, name) keys, in key order."""
-        return cls(tuple((name, KIND_OF[kind]) for kind, name in sorted(set(keys))))
 
     def __post_init__(self) -> None:
         if len(set(self.features)) != self.dimension:

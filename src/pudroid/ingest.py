@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import DatasetError, FeatureSpace, PUDataset, SampleRows, offsets
+from .features import KIND_OF, DatasetError, FeatureSpace, PUDataset, SampleRows, offsets
 
 KIND_TAGS = ("permission", "api", "url", "ip")
 # each tag as one string object, so that the keys of many lines share it
@@ -76,29 +76,6 @@ def line_key(line: str, resolver: dict[str, str]) -> tuple[str, str] | None:
     if kind_tag == "ip":
         value = truncate_ip(value)
     return kind_tag, value
-
-
-def feature_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
-    """The keys of one feature file's lines (see line_key); duplicates collapse.
-
-    A file with several faults reports the first malformed line, else the
-    first malformed IPv4 address, in line order.
-    """
-    keys: set[tuple[str, str]] = set()
-    bad_ip: AddressError | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            key = line_key(line, resolver)
-        except AddressError as exc:
-            bad_ip = bad_ip or exc
-            continue
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if key is not None:
-            keys.add(key)
-    if bad_ip is not None:
-        raise bad_ip
-    return keys
 
 
 def truncate_ip(ip: str) -> str:
@@ -174,13 +151,16 @@ def build_dataset(
 ) -> PUDataset:
     """Read every app's feature file and assemble the full PUDataset.
 
-    The FeatureSpace is the union of observed (kind, name) keys after URL
-    resolution and IP truncation, in the canonical (kind, name) order.
+    The FeatureSpace is the union of observed (kind value, name) keys after URL
+    resolution and IP truncation, ordered by (kind value, name), so identical
+    inputs always produce identical index assignments.
 
     Features recur from app to app, so each distinct raw line is parsed once:
-    `memo` maps it to its feature number, or -1 when it adds no key. A line
-    that fails is never memoised; its file goes through feature_keys, which
-    reports the file's first fault.
+    `memo` maps it to its feature number, or -1 when it adds no key. A file
+    with a line the memo does not hold is walked once, in line order, past the
+    lines it does: the first malformed line fails the file at once, else the
+    first malformed IPv4 address fails it after the pass. A line that fails is
+    never memoised.
     """
     base = Path(base_dir)
     memo: dict[str, int] = {}
@@ -194,20 +174,26 @@ def build_dataset(
         except OSError as exc:
             raise IOError(f"cannot read feature file {path}: {exc}") from exc
         try:
-            text = data.decode("utf-8")
-            lines = text.splitlines()
+            lines = data.decode("utf-8").splitlines()
             found = set(map(memo.get, lines))
             if None in found:
                 found.discard(None)
-                for line in set(lines).difference(memo):
+                bad_ip: AddressError | None = None
+                for lineno, line in enumerate(lines, 1):
+                    if line in memo:
+                        continue
                     try:
                         key = line_key(line, resolver)
-                    except ParseError:
-                        feature_keys(text, resolver)  # raises the file's first fault
-                        raise
+                    except AddressError as exc:
+                        bad_ip = bad_ip or exc
+                        continue
+                    except ParseError as exc:
+                        raise ParseError(f"line {lineno}: {exc}") from None
                     number = -1 if key is None else numbers.setdefault(key, len(numbers))
                     memo[line] = number
                     found.add(number)
+                if bad_ip is not None:
+                    raise bad_ip
         except (ParseError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path} (app {row.app_id!r}): {exc}") from exc
         found.discard(-1)
@@ -217,7 +203,9 @@ def build_dataset(
 
     keys = list(numbers)
     del numbers
-    space = FeatureSpace.build(keys)
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)  # index -> number
+    space = FeatureSpace(tuple((keys[i][1], KIND_OF[keys[i][0]]) for i in by_key))
+    del keys
     # each stored one is keyed by its app's row in the P-then-U block and its
     # index, as row * d + index in the narrowest type that holds n * d: one
     # in-place sort puts the block in row order and each row's indices in order
@@ -225,9 +213,9 @@ def build_dataset(
     order = np.argsort(~is_positive, kind="stable")  # block row -> manifest row
     d = max(space.dimension, 1)
     cell = np.min_scalar_type(len(manifest) * d)
-    index = space.index_of()
-    rank = np.fromiter(map(index.__getitem__, keys), cell, len(keys))  # number -> index
-    del index, keys
+    rank = np.empty(len(by_key), dtype=cell)  # number -> index
+    rank[by_key] = np.arange(len(by_key), dtype=cell)
+    del by_key
     cells = rank.take(np.frombuffer(flat, dtype=np.int64))
     del flat, rank
     row_start = np.empty(len(manifest), dtype=cell)

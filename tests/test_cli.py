@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -275,6 +276,7 @@ class TestExitCodes:
         (["experiment", "--protocol", "rq2", "--features-per-split", "-2"], "--features-per-split"),
         (["experiment", "--protocol", "rq1", "--n-positive", "0"], "--n-positive"),
         (["experiment", "--protocol", "rq1", "--flip-noise", "0.7"], "--flip-noise"),
+        (["clean", "--rescale-trigger", "-inf"], "--rescale-trigger"),
     ])
     def test_bad_flag_value_is_usage_error(self, dataset_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "o.json"
@@ -729,6 +731,7 @@ class TestGeneratorSpec:
         ("label_frequency_c", "0"), ("label_frequency_c", "1.5"), ("n_families", "0"),
         ("learning_rate", "0"), ("learning_rate", "inf"), ("epochs", "0"), ("l2", "-0.5"),
         ("l2", "nan"), ("max_depth", "-1"), ("min_leaf", "0"), ("n_trees", "0"),
+        ("l2", "-1e-3"), ("learning_rate", "-1E5"),
     ])
     def test_out_of_range_input_names_its_source(self, tmp_path, capsys, name, bad):
         # one declared range, checked at the flag (exit 1), at a generator
@@ -771,3 +774,82 @@ class TestGeneratorSpec:
         assert run([*argv, "--n-negative", "7"]) == 2
         assert f"error: {spec_file}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+# Every clean and experiment flag but the paths, each with the protocol that
+# reads it ("clean" for the clean command), a valid non-default value (None
+# for a switch), the dotted JSON path where the artifact echoes it, and the
+# value found there.
+_TRAIN_ECHOES = [
+    ("--learner", "tree", "config.train.learner", "tree"),
+    ("--lr", "0.5", "config.train.linear.learning_rate", 0.5),
+    ("--epochs", "7", "config.train.linear.epochs", 7),
+    ("--l2", "0.25", "config.train.linear.l2", 0.25),
+    ("--max-depth", "4", "config.train.tree.max_depth", 4),
+    ("--min-leaf", "2", "config.train.tree.min_leaf", 2),
+    ("--n-trees", "2", "config.train.forest.n_trees", 2),
+    ("--features-per-split", "3", "config.train.forest.features_per_split", 3),
+    ("--no-bootstrap", None, "config.train.forest.bootstrap", False),
+]
+ECHOES = [
+    *(("clean", *row) for row in _TRAIN_ECHOES),
+    ("clean", "--split-fraction", "0.3", "config.split_fraction", 0.3),
+    ("clean", "--rescale-trigger", "-0.5", "config.rescale_trigger", -0.5),
+    ("clean", "--rescale-target", "2", "config.rescale_target", 2.0),
+    ("clean", "--discard", None, "config.discard", True),
+    ("clean", "--seed", "4", "config.seed", 4),
+    *(("rq1", *row) for row in _TRAIN_ECHOES),
+    ("rq3", "--protocol", "rq3", "protocol", "RQ3"),
+    ("rq1", "--n-positive", "140", "config.generator.n_positive", 140),
+    ("rq1", "--n-negative", "280", "config.generator.n_negative", 280),
+    ("rq1", "--dimension", "36", "config.generator.dimension", 36),
+    ("rq1", "--signal-features", "3", "config.generator.signal_features", 3),
+    ("rq1", "--flip-noise", "0.1", "config.generator.flip_noise", 0.1),
+    ("rq1", "--label-frequency-c", "0.6", "config.generator.label_frequency_c", 0.6),
+    ("rq1", "--n-families", "3", "config.generator.n_families", 3),
+    ("rq1", "--family-exclusive", None, "config.generator.family_exclusive", True),
+    ("rq1", "--iterations", "2", "config.iterations", 2),
+    ("rq1", "--step", "5", "config.step", 5),
+    ("rq2", "--ratios", "1,3", "config.ratios", [1.0, 3.0]),
+    ("rq4", "--ratio", "4", "config.ratio", 4.0),
+    ("rq3", "--holdout-family", "1", "config.holdout_family", 1),
+    ("rq1", "--split-fraction", "0.3", "config.split_fraction", 0.3),
+    ("rq1", "--seed", "4", "seed", 4),
+]
+# flags that name files, not configuration
+_PATH_FLAGS = {"--dataset", "--out", "--cleaned-out", "--spec-file", "--help"}
+# small runs: the golden test's 150x300x40 set and 3 trees; the row's own
+# flag comes last and so overrides these
+_SMALL = ["--n-trees", "3"]
+_SMALL_SET = ["--n-positive", "150", "--n-negative", "300", "--dimension", "40",
+              "--signal-features", "4", "--n-families", "2"]
+_PROTOCOL_ARGS = {"rq1": ["--iterations", "1", "--step", "10"], "rq2": ["--ratios", "1"]}
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("protocol, flag, value, path, echoed", ECHOES,
+                             ids=[f"{row[0]}{row[1]}" for row in ECHOES])
+    def test_flag_value_is_echoed(self, dataset_file, tmp_path, capsys,
+                                  protocol, flag, value, path, echoed):
+        out = tmp_path / "o.json"
+        if protocol == "clean":
+            argv = ["clean", "--dataset", str(dataset_file), *_SMALL]
+        else:
+            argv = ["experiment", "--protocol", protocol, *_SMALL_SET, *_SMALL,
+                    *_PROTOCOL_ARGS.get(protocol, [])]
+        given = [flag] if value is None else [flag, value]
+        assert run([*argv, *given, "--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        for key in path.split("."):
+            data = data[key]
+        assert data == echoed
+
+    def test_table_holds_every_flag(self):
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        tabled = {"clean": set(), "experiment": set()}
+        for protocol, flag, *_ in ECHOES:
+            tabled["clean" if protocol == "clean" else "experiment"].add(flag)
+        for command, flags in tabled.items():
+            options = {opt for action in sub.choices[command]._actions
+                       for opt in action.option_strings if opt.startswith("--")}
+            assert options - _PATH_FLAGS == flags, command

@@ -148,7 +148,8 @@ class TestReaderOracle:
            window=st.sampled_from([1, 2, 3, 7, 64, 1 << 20]))
     def test_hand_edited_layouts(self, ds, rnd, extra, window, tmp_path_factory):
         # reordered keys, other whitespace, \uXXXX escapes, extra top-level keys:
-        # a text that is not save_dataset's bytes is read whole, to the same result
+        # a text that is not save_dataset's bytes, with or without the final
+        # newline, is read whole, to the same result
         data = {**dataset_to_dict(ds), **extra}
         keys = rnd.sample(list(data), len(data))
         text = _Layout(rnd).ws() + _Layout(rnd).value(data, keys) + _Layout(rnd).ws()
@@ -157,7 +158,7 @@ class TestReaderOracle:
         saved = path.read_bytes()
         path.write_bytes(text.encode("utf-8"))
         loaded, whole = _load(path, window)
-        assert whole == (text.encode("utf-8") != saved)
+        assert whole == (text.encode("utf-8") not in (saved, saved[:-1]))
         assert dataset_to_dict(loaded) == _reference(text) == dataset_to_dict(ds)
 
     @pytest.mark.parametrize("window", [1, pudroid.datasets._WINDOW])
@@ -170,6 +171,18 @@ class TestReaderOracle:
             entry.pop("hidden", None)
         text = json.dumps(data, sort_keys=True, indent=2) + "\n"
         path = tmp_path / "ds.json"
+        path.write_text(text, encoding="utf-8")
+        loaded, whole = _load(path, window)
+        assert not whole
+        assert dataset_to_dict(loaded) == _reference(text)
+
+    @pytest.mark.parametrize("window", [1, 2, pudroid.datasets._WINDOW])
+    def test_saved_layout_without_final_newline_streams(self, tmp_path, window):
+        # json.dump(data, fh, sort_keys=True, indent=2) leaves the final newline out
+        spec = SyntheticSpec(n_positive=60, n_negative=120, dimension=40, seed=3)
+        path = tmp_path / "ds.json"
+        save_dataset(generate_synthetic(spec).dataset, path)
+        text = path.read_text(encoding="utf-8")[:-1]
         path.write_text(text, encoding="utf-8")
         loaded, whole = _load(path, window)
         assert not whole

@@ -24,31 +24,6 @@ from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 
 class TestFeatureSpace:
-    def test_build_orders_by_kind_then_name(self):
-        space = FeatureSpace.build(
-            [
-                ("permission", "SEND_SMS"),
-                ("api", "getDeviceId"),
-                ("ip", "1.2.3.x"),
-                ("permission", "INTERNET"),
-            ]
-        )
-        assert space.features == (
-            ("getDeviceId", FeatureKind.API),
-            ("1.2.3.x", FeatureKind.IP_ADDRESS),
-            ("INTERNET", FeatureKind.PERMISSION),
-            ("SEND_SMS", FeatureKind.PERMISSION),
-        )
-        assert space.dimension == 4
-
-    def test_build_collapses_duplicates(self):
-        space = FeatureSpace.build([("api", "a"), ("api", "a"), ("api", "b")])
-        assert space.dimension == 2
-
-    def test_name_in_two_kinds_is_two_features(self):
-        space = FeatureSpace.build([("api", "a"), ("permission", "a")])
-        assert space.index_of() == {("api", "a"): 0, ("permission", "a"): 1}
-
     def test_repeated_feature_rejected(self):
         features = (("a", FeatureKind.API), ("a", FeatureKind.PERMISSION), ("a", FeatureKind.API))
         with pytest.raises(DatasetError, match="feature 'a' of kind 'api' occurs twice"):

@@ -22,14 +22,14 @@ GOLDEN = {
     "clean-forest/cleaned": "d44e10abd0511f8a48d4d56aedea274e21348126caec28951fe15e432786d5b4",
     "clean-tree/report": "082a356a327efdbd2f82752a05f70cec629321f41a2ee881eca9608e501e818b",
     "clean-tree/cleaned": "4ecb39a885507a2e0b47a08aaab8e29b7101e9ea2e0ffba0116b0ed0fe9f6617",
-    "rq2/report": "8c825d9b8ffbe59736b094af971a3c869c10989e590ca8c5f6366ca12181f47e",
+    "rq2/report": "29ec2577f5df5d286a41d3a54a131f48b3de81b4d58ed7f3c5d0c59c25085510",
     "ingest/raw": "cbb5446925883c7801f25d4c472502097c02fbe70939859be7ee46a7fd9f8444",
     "select/selected": "b5c5dc3397c898db8467af274da77ad183ef9616e62647df080dc679f8290880",
     "clean-selected/report": "b0b36007bfb51a32a608b4a19cb12eb209bfe08ea43cf13937428e3dac79b96f",
     "clean-selected/cleaned": "ba500c6c43198fc6fa8c0a086fdcab509c00a31d32f8aa65e6167bbb897864be",
     "clean-selected-discard/report": "ce193ba1a994728a0cc1dd8cfe970953750b7b56f15dfb7a2a8d713718c9d369",
     "clean-selected-discard/cleaned": "df0dd13a80d293e3dda4ff97a7d1b182fadc72fba235110f99a5c083683cda23",
-    "rq1-tree/report": "3ed36254cf3f94a5f5f65e9a3522acb86fa522b8b3b63201d5499d76b536dffc",
+    "rq1-tree/report": "a5f2f73807472bcf72bebfb6efa49cba23d2126fa2751fca7795633731d11cec",
 }
 
 

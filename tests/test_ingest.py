@@ -18,14 +18,13 @@ from pudroid.ingest import (
     ManifestRow,
     ParseError,
     build_dataset,
-    feature_keys,
     load_manifest,
     load_resolver_map,
     truncate_ip,
 )
 
 
-# The three-stage parser that feature_keys replaced, kept as its reference.
+# The three-stage parser that ingest's line-by-line pass replaced, kept as its reference.
 @dataclass(frozen=True)
 class RawFeatureLine:
     kind_tag: str
@@ -139,12 +138,25 @@ def feature_lines(draw) -> str:
 FILES = st.lists(feature_lines(), max_size=12).map(lambda lines: "\n".join(lines) + "\n")
 
 
+def ingest_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
+    """The (kind value, name) keys of the space of a one-app ingest of `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "app.txt").write_text(text, encoding="utf-8")
+        ds = build_dataset([ManifestRow("app", "app.txt", Group.POSITIVE)], resolver, tmp)
+    return set(ds.space.index_of())
+
+
+def one_app(build, text: str):
+    """ingest_outcome of build on a manifest of one positive app with file `text`."""
+    return ingest_outcome(build, [text], [Group.POSITIVE])
+
+
 class TestFeatureKeysOracle:
     @settings(max_examples=500, deadline=None)
     @given(texts=st.lists(FILES, min_size=1, max_size=3))
     def test_same_keys_or_same_error_as_reference(self, texts):
         for text in texts:
-            assert outcome(feature_keys, text, RESOLVER) == outcome(reference_keys, text, RESOLVER)
+            assert one_app(ingested, text) == one_app(reference_dataset, text)
 
     @pytest.mark.parametrize("text, error", [
         ("ip::1.2.3\nbroken\n", "line 2: missing '::' separator"),
@@ -154,14 +166,14 @@ class TestFeatureKeysOracle:
     ])
     def test_several_faults_report_the_reference_error(self, text, error):
         with pytest.raises(ParseError, match=error):
-            feature_keys(text, RESOLVER)
-        assert outcome(reference_keys, text, RESOLVER) == outcome(feature_keys, text, RESOLVER)
+            ingest_keys(text, RESOLVER)
+        assert one_app(ingested, text) == one_app(reference_dataset, text)
 
 
 class TestParseFeatureFile:
     def test_basic_lines(self):
         text = "permission::SEND_SMS\napi::getDeviceId\nurl::evil.example\nip::1.2.3.4\n"
-        assert feature_keys(text, {"evil.example": "5.6.7.8"}) == {
+        assert ingest_keys(text, {"evil.example": "5.6.7.8"}) == {
             ("permission", "SEND_SMS"),
             ("api", "getDeviceId"),
             ("ip", "5.6.7.x"),
@@ -170,22 +182,22 @@ class TestParseFeatureFile:
 
     def test_comments_blanks_and_duplicates(self):
         text = "# header\n\n  api::x  \napi::x\npermission::P\n"
-        assert feature_keys(text, {}) == {("api", "x"), ("permission", "P")}
+        assert ingest_keys(text, {}) == {("api", "x"), ("permission", "P")}
 
     def test_missing_separator_reports_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            feature_keys("api::ok\nbroken line\n", {})
+            ingest_keys("api::ok\nbroken line\n", {})
 
     def test_unknown_kind_tag_is_an_error(self):
         with pytest.raises(ParseError, match="unknown kind tag"):
-            feature_keys("intent::android.intent.action.MAIN\n", {})
+            ingest_keys("intent::android.intent.action.MAIN\n", {})
 
     def test_empty_value_is_an_error(self):
         with pytest.raises(ParseError, match="empty feature value"):
-            feature_keys("api::   \n", {})
+            ingest_keys("api::   \n", {})
 
     def test_value_may_contain_separator(self):
-        assert feature_keys("api::a::b\n", {}) == {("api", "a::b")}
+        assert ingest_keys("api::a::b\n", {}) == {("api", "a::b")}
 
 
 class TestTruncateIp:
@@ -225,26 +237,26 @@ class TestResolverMap:
 
 class TestResolveUrls:
     def test_resolvable_urls_become_ip_lines(self):
-        keys = feature_keys("url::evil.example\napi::x\n", {"evil.example": "1.2.3.4"})
+        keys = ingest_keys("url::evil.example\napi::x\n", {"evil.example": "1.2.3.4"})
         assert keys == {("ip", "1.2.3.x"), ("api", "x")}
 
     def test_unresolvable_urls_are_dropped(self):
-        assert feature_keys("url::gone.example\n", {}) == set()
+        assert ingest_keys("url::gone.example\n", {}) == set()
 
     def test_resolution_collisions_collapse(self):
         text = "url::a.example\nurl::b.example\nip::1.2.3.4\n"
         resolver = {"a.example": "1.2.3.4", "b.example": "1.2.3.4"}
-        assert feature_keys(text, resolver) == {("ip", "1.2.3.x")}
+        assert ingest_keys(text, resolver) == {("ip", "1.2.3.x")}
 
 
 class TestFeaturePairs:
     def test_truncates_ip_names(self):
-        keys = feature_keys("ip::1.2.3.4\napi::x\n", {})
+        keys = ingest_keys("ip::1.2.3.4\napi::x\n", {})
         assert keys == {("ip", "1.2.3.x"), ("api", "x")}
 
     def test_unresolved_url_is_never_a_feature(self):
-        assert feature_keys("url::evil.example\n", {}) == set()
-        assert feature_keys("url::evil.example\n", {"evil.example": "1.2.3.4"}) == {
+        assert ingest_keys("url::evil.example\n", {}) == set()
+        assert ingest_keys("url::evil.example\n", {"evil.example": "1.2.3.4"}) == {
             ("ip", "1.2.3.x")
         }
 
@@ -376,15 +388,16 @@ class TestBuildDataset:
 
 
 def reference_dataset(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:
-    """build_dataset, file by file: reference_keys per file, then FeatureSpace.build
-    over their union, then each app's sorted indices."""
+    """build_dataset, file by file: reference_keys per file, then the space of
+    their union in (kind, name) order, then each app's sorted indices."""
     per_app = []
     for text, row in zip(texts, manifest):
         try:
             per_app.append(reference_keys(text, RESOLVER))
         except ParseError as exc:
             raise ParseError(f"{base / row.path} (app {row.app_id!r}): {exc}") from None
-    space = FeatureSpace.build(set().union(*per_app))
+    keys = sorted(set().union(*per_app))
+    space = FeatureSpace(tuple((name, _KIND_BY_TAG[kind]) for kind, name in keys))
     index = space.index_of()
     rows = SampleRows.build(
         [row.app_id for row in manifest],
