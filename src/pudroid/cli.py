@@ -45,11 +45,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse reads only -1 and -1.5 as negative numbers, and "--l2 -1e-3"
-        # or "--rescale-trigger -inf" as a flag missing its value; no pudroid
-        # option looks like a number, so these are values too
+        # argparse reads only -1 and -1.5 as negative numbers, and "--l2 -1e-3",
+        # "--rescale-trigger -inf" or "--ratios -1,2" as a flag missing its value;
+        # no pudroid option looks like a number or holds a comma, so these are values too
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(,.*)?$|^-(inf|infinity|nan)(,.*)?$", re.IGNORECASE
         )
 
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
@@ -323,25 +323,14 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         )
     cfg = _train_config(args)
     base = generate_synthetic(spec)
-    if args.protocol == "rq1":
-        report = protocol_rq1(
-            base, cfg, args.iterations, step=args.step, seed=args.seed,
-            split_fraction=args.split_fraction,
-        )
-    elif args.protocol == "rq2":
-        report = protocol_rq2(
-            base, args.ratios, cfg, seed=args.seed, split_fraction=args.split_fraction
-        )
-    elif args.protocol == "rq3":
-        report = protocol_rq3(
-            base, cfg, seed=args.seed, holdout_family=args.holdout_family,
-            split_fraction=args.split_fraction,
-        )
-    else:
-        report = protocol_rq4(
-            base, cfg, ratio=args.ratio, seed=args.seed,
-            split_fraction=args.split_fraction,
-        )
+    # built per call, so a wrapper put on these names after import is the one called
+    protocol, params = {
+        "rq1": (protocol_rq1, {"iterations": args.iterations, "step": args.step}),
+        "rq2": (protocol_rq2, {"ratios": args.ratios}),
+        "rq3": (protocol_rq3, {"holdout_family": family}),
+        "rq4": (protocol_rq4, {"ratio": args.ratio}),
+    }[args.protocol]
+    report = protocol(base, cfg=cfg, seed=args.seed, split_fraction=args.split_fraction, **params)
     report = dataclasses.replace(
         report,
         config={
@@ -374,6 +363,16 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Two output flags naming one file would keep only the last write. An output may
+    name an input: every command has read its inputs before it writes."""
+    named: dict[str, str] = {}
+    for flag in ("--out", "--cleaned-out", "--features-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path and (first := named.setdefault(os.path.realpath(path), flag)) != flag:
+            raise UsageError(f"argument {flag}: names the same file as {first}")
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -385,6 +384,7 @@ def run(argv: list[str]) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _seed_from_env()
+        _check_outputs(args)
         _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Evaluation metrics: accuracy, F-measure, detection rate, rank-based AUC.
 
-AUC is the Mann-Whitney statistic computed from average ranks. The rank sum
-is accumulated in integer arithmetic (doubled ranks) so the result is the
-exactly rounded value of the underlying rational number.
+`compute_metrics(truth, scores)` predicts malware where a score exceeds 0.5,
+the package's one threshold. AUC is the Mann-Whitney statistic computed from
+average ranks. The rank sum is accumulated in integer arithmetic (doubled
+ranks) so the result is the exactly rounded value of the underlying rational.
 """
 
 from __future__ import annotations
@@ -58,17 +59,16 @@ def rank_auc(truth: Sequence[int], scores: Sequence[float]) -> float:
     return numerator / (2 * n_pos * n_neg)
 
 
-def compute_metrics(
-    truth: Sequence[int], predicted: Sequence[int], scores: Sequence[float]
-) -> Metrics:
+def compute_metrics(truth: Sequence[int], scores: Sequence[float]) -> Metrics:
     truth = np.asarray(truth, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
-    if not (len(truth) == len(predicted) == len(scores)) or len(truth) == 0:
-        raise ValueError("truth, predicted and scores must have equal non-zero length")
-    tp = int(np.sum((truth == 1) & (predicted == 1)))
-    fp = int(np.sum((truth == 0) & (predicted == 1)))
-    tn = int(np.sum((truth == 0) & (predicted == 0)))
-    fn = int(np.sum((truth == 1) & (predicted == 0)))
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(truth) != len(scores) or len(truth) == 0:
+        raise ValueError("truth and scores must have equal non-zero length")
+    predicted = scores > 0.5
+    tp = int(np.sum((truth == 1) & predicted))
+    fp = int(np.sum((truth == 0) & predicted))
+    tn = int(np.sum((truth == 0) & ~predicted))
+    fn = int(np.sum((truth == 1) & ~predicted))
     total = tp + fp + tn + fn
     accuracy = (tp + tn) / total
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0

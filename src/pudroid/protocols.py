@@ -18,7 +18,7 @@ from .classifiers import Learner, TrainConfig, train
 from .features import BinaryMatrix, PUDataset
 # not called here: perfbench/tracing.py wraps this name until ROADMAP item 1
 from .features import dense_matrix  # noqa: F401
-from .metrics import Metrics, compute_metrics
+from .metrics import compute_metrics
 from .pu import clean_and_retrain, training_arrays
 from .report import ExperimentReport, ReportRow
 from .synthetic import SyntheticData
@@ -50,12 +50,14 @@ def split_test(data: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, 
     return pos_tr, neg_tr, np.concatenate([pos_te, neg_te])
 
 
-def _held_out(base: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, BinaryMatrix, list]:
+def _held_out(
+    base: SyntheticData, seed: int
+) -> tuple[np.ndarray, np.ndarray, BinaryMatrix, np.ndarray]:
     """(training true positive rows, training true negative rows, X_test, y_test)."""
     samples = base.dataset.samples
     pos_tr, neg_tr, test = split_test(base, seed)
     X_test = BinaryMatrix.from_rows(samples, base.dataset.space.dimension)[test]
-    return pos_tr, neg_tr, X_test, samples.hidden[test].tolist()
+    return pos_tr, neg_tr, X_test, samples.hidden[test]
 
 
 def _dataset(base: SyntheticData, p_rows: np.ndarray, u_rows: np.ndarray) -> PUDataset:
@@ -71,17 +73,12 @@ def _move_positives(
     return _dataset(base, np.delete(pos_tr, moved), np.concatenate([neg_tr, pos_tr[moved]]))
 
 
-def _evaluate(scores: np.ndarray, truth: Sequence[int]) -> Metrics:
-    predicted = (scores > 0.5).astype(int)
-    return compute_metrics(list(truth), predicted.tolist(), scores.tolist())
-
-
 def _run_pair(
     condition: str,
     ds: PUDataset,
     cfg: TrainConfig,
     X_test: BinaryMatrix,
-    y_test: Sequence[int],
+    y_test: np.ndarray,
     split_fraction: float,
     seed: int,
     swapped: bool = False,
@@ -92,8 +89,8 @@ def _run_pair(
     pu_scores = train(*training_arrays(result.cleaned), cfg).score_matrix(X_test)
     X, z = training_arrays(ds)
     npu_scores = train(X, 1 - z if swapped else z, cfg).score_matrix(X_test)
-    pu = _evaluate(1.0 - pu_scores if swapped else pu_scores, y_test)
-    return ReportRow(condition, pu, _evaluate(npu_scores, y_test))
+    pu = compute_metrics(y_test, 1.0 - pu_scores if swapped else pu_scores)
+    return ReportRow(condition, pu, compute_metrics(y_test, npu_scores))
 
 
 def protocol_rq1(
@@ -149,7 +146,7 @@ def protocol_rq2(
     config = {
         "ratios": [float(r) for r in ratios],
         "learners": [l.value for l in learners],
-        "train": cfg.to_dict(),
+        "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
     return ExperimentReport("RQ2", tuple(rows), config, seed)
 
@@ -254,6 +251,6 @@ def protocol_rq4(
     config = {
         "ratio": float(ratio),
         "learners": [l.value for l in learners],
-        "train": cfg.to_dict(),
+        "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
     return ExperimentReport("RQ4", tuple(rows), config, seed)

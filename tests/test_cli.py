@@ -497,6 +497,39 @@ class TestExitCodes:
         assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
 
+    # a list led by a negative number is the value of --ratios, not a flag
+    @pytest.mark.parametrize("ratios", ["-1,2", "-inf,2"])
+    def test_negative_leading_ratio_names_its_range(self, tmp_path, capsys, ratios):
+        out = tmp_path / "rq2.json"
+        assert run(["experiment", "--protocol", "rq2", "--ratios", ratios, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        bad = ratios.split(",")[0]
+        assert f"error: argument --ratios: must be in [0, inf), got {bad!r}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["clean", "--n-trees", "3"], "--cleaned-out"),
+        (["select-features", "--eta", "1"], "--features-out"),
+    ])
+    def test_two_outputs_naming_one_file_is_usage_error(
+        self, dataset_file, tmp_path, capsys, command, flag
+    ):
+        out = tmp_path / "out.json"
+        argv = [*command, "--dataset", str(dataset_file), "--out", str(out)]
+        assert run([*argv, flag, f"{tmp_path}/./out.json"]) == 1  # one file, spelled two ways
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: names the same file as --out\n" in err
+        assert not out.exists()
+
+    def test_cleaned_out_may_name_the_dataset(self, dataset_file, tmp_path, capsys):
+        before = load_dataset(dataset_file)
+        assert run(["clean", "--dataset", str(dataset_file), "--n-trees", "3", "--seed", "1",
+                    "--out", str(tmp_path / "report.json"),
+                    "--cleaned-out", str(dataset_file)]) == 0
+        flagged = json.loads((tmp_path / "report.json").read_text())["contaminant_ids"]
+        after = load_dataset(dataset_file)
+        assert flagged and len(after.positives) == len(before.positives) + len(flagged)
+
     @pytest.mark.parametrize("ratio, code", [("0.25", 2), ("0.5", 2), ("0.5000001", 0)])
     def test_rq4_ratio_at_or_below_parity_is_infeasible(self, tmp_path, capsys, ratio, code):
         # at 0.5 the sizing divides by 2 * ratio - 1 = 0; just above it every

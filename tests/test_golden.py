@@ -22,7 +22,7 @@ GOLDEN = {
     "clean-forest/cleaned": "d44e10abd0511f8a48d4d56aedea274e21348126caec28951fe15e432786d5b4",
     "clean-tree/report": "082a356a327efdbd2f82752a05f70cec629321f41a2ee881eca9608e501e818b",
     "clean-tree/cleaned": "4ecb39a885507a2e0b47a08aaab8e29b7101e9ea2e0ffba0116b0ed0fe9f6617",
-    "rq2/report": "29ec2577f5df5d286a41d3a54a131f48b3de81b4d58ed7f3c5d0c59c25085510",
+    "rq2/report": "5771bd12ffbca8b4714930661c74c047766c9433fde5c611eedfc6cec624802d",
     "ingest/raw": "cbb5446925883c7801f25d4c472502097c02fbe70939859be7ee46a7fd9f8444",
     "select/selected": "b5c5dc3397c898db8467af274da77ad183ef9616e62647df080dc679f8290880",
     "clean-selected/report": "b0b36007bfb51a32a608b4a19cb12eb209bfe08ea43cf13937428e3dac79b96f",

@@ -65,32 +65,34 @@ class TestRankAuc:
 
 class TestComputeMetrics:
     def test_confusion_and_rates(self):
-        truth = [1, 1, 0, 0, 1]
-        pred = [1, 0, 0, 1, 1]
-        m = compute_metrics(truth, pred, [0.9, 0.4, 0.2, 0.6, 0.8])
+        m = compute_metrics([1, 1, 0, 0, 1], [0.9, 0.4, 0.2, 0.6, 0.8])
         assert (m.tp, m.fp, m.tn, m.fn) == (2, 1, 1, 1)
         assert m.accuracy == pytest.approx(0.6)
         assert m.detection_rate == pytest.approx(2 / 3)
         assert m.f_measure == pytest.approx(2 * (2 / 3) * (2 / 3) / (4 / 3))
 
+    def test_predicts_malware_only_above_one_half(self):
+        m = compute_metrics([1, 1, 0], [0.5, 0.5000001, 0.5])
+        assert (m.tp, m.fp, m.tn, m.fn) == (1, 0, 1, 1)
+
     def test_f_measure_zero_when_nothing_predicted(self):
-        m = compute_metrics([1, 0], [0, 0], [0.1, 0.1])
+        m = compute_metrics([1, 0], [0.1, 0.1])
         assert m.f_measure == 0.0
         assert m.detection_rate == 0.0
 
     def test_length_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
-            compute_metrics([1, 0], [1], [0.5, 0.5])
+            compute_metrics([1, 0], [0.5])
         with pytest.raises(ValueError):
-            compute_metrics([], [], [])
+            compute_metrics([], [])
 
     def test_undefined_auc_serializes_as_marker(self):
-        m = compute_metrics([1, 1], [1, 0], [0.9, 0.1])
+        m = compute_metrics([1, 1], [0.9, 0.1])
         assert math.isnan(m.auc)
         assert json.loads(dumps(m.to_dict()))["auc"] == "undefined"
 
     def test_defined_auc_round_trips_to_dict(self):
-        m = compute_metrics([1, 0], [1, 0], [0.9, 0.1])
+        m = compute_metrics([1, 0], [0.9, 0.1])
         d = m.to_dict()
         assert d["auc"] == 1.0
         assert d["confusion"] == {"tp": 1, "fp": 0, "tn": 1, "fn": 0}

@@ -75,6 +75,9 @@ class TestRq2:
         assert [r.condition for r in report.rows] == [
             "1:1/linear", "1:1/tree", "2:1/linear", "2:1/tree",
         ]
+        # the rows name each learner, and cfg.learner trains none of them
+        assert report.config["learners"] == ["linear", "tree"]
+        assert "learner" not in report.config["train"]
 
     def test_negative_ratio_is_an_error(self, base):
         with pytest.raises(ProtocolError):
@@ -116,6 +119,8 @@ class TestRq4:
             base, CFG, ratio=2.0, seed=0, learners=(Learner.LINEAR, Learner.TREE)
         )
         assert [r.condition for r in report.rows] == ["2:1/linear", "2:1/tree"]
+        assert report.config["learners"] == ["linear", "tree"]
+        assert "learner" not in report.config["train"]
 
     def test_clean_case_matches_no_pu_baseline(self, base):
         report = protocol_rq4(base, CFG, ratio=0.0, seed=0, learners=(Learner.LINEAR,))

@@ -8,11 +8,11 @@ from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 
 def _metrics():
-    return compute_metrics([1, 0], [1, 0], [0.9, 0.1])
+    return compute_metrics([1, 0], [0.9, 0.1])
 
 
 def _undefined_auc_metrics():
-    return compute_metrics([1, 1], [1, 0], [0.9, 0.1])
+    return compute_metrics([1, 1], [0.9, 0.1])
 
 
 class TestCanonicalJson:

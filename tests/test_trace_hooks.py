@@ -1,9 +1,9 @@
 """The call sites perfbench/tracing.py wraps by name still exist.
 
 The benchmark's traced runs patch pudroid functions by module and name; a
-renamed or re-signatured one shows up in `Recorder.missing`. This runs small
-commands under those patches in a separate process, so they leak into no other
-test.
+renamed or re-signatured one shows up in `Recorder.missing`, and a hook the
+program no longer calls records no span. This runs small commands under those
+patches in a separate process, so they leak into no other test.
 """
 
 import json
@@ -26,8 +26,8 @@ rec = Recorder(time.monotonic())
 install(rec)
 from pudroid.cli import run
 codes = [run(argv) for argv in json.loads(sys.argv[2])]
-rec.finish(time.monotonic())
-print(json.dumps({"codes": codes, "missing": rec.missing}))
+spans = rec.finish(time.monotonic())
+print(json.dumps({"codes": codes, "missing": rec.missing, "spans": [s.name for s in spans]}))
 """
 
 
@@ -56,9 +56,16 @@ def test_every_traced_hook_resolves(tmp_path):
          "--out", out("forest.json"), "--cleaned-out", out("cleaned.json")],
         ["clean", "--dataset", str(dataset), "--learner", "linear", "--lr", "1.0", "--epochs", "50",
          "--seed", "1", "--out", out("linear.json")],
-        ["experiment", "--protocol", "rq2", "--ratios", "1", "--n-trees", "3",
-         "--n-positive", "60", "--n-negative", "120", "--dimension", "20",
-         "--signal-features", "4", "--n-families", "2", "--seed", "1", "--out", out("rq2.json")],
+        *(["experiment", "--protocol", protocol, *flags, "--n-trees", "3",
+           "--n-positive", "60", "--n-negative", "120", "--dimension", "20",
+           "--signal-features", "4", "--n-families", "2", "--seed", "1",
+           "--out", out(f"{protocol}.json")]
+          for protocol, flags in (
+              ("rq1", ["--iterations", "1", "--step", "5"]),
+              ("rq2", ["--ratios", "1"]),
+              ("rq3", ["--holdout-family", "1"]),
+              ("rq4", ["--ratio", "2"]),
+          )),
     ]
     paths = [str(Path(pudroid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -70,3 +77,5 @@ def test_every_traced_hook_resolves(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(commands), proc.stderr
     assert result["missing"] == []
+    # each of the four experiments calls its protocol through the traced name, once
+    assert result["spans"].count("protocols.self") == 4, result["spans"]

@@ -11,13 +11,15 @@ file, as the benchmark's do (a pipe instead moved the pca command's peak by
 `pudroid.cli.run` returns. The script prints a markdown table of them in MB
 of 2^20 bytes, with the median over the runs. Unlike `ru_maxrss`, VmHWM is
 not inherited from the parent across exec, so it is the command's own peak
-however much memory the caller holds. Exits 1 when a command fails. Linux
-only.
+however much memory the caller holds. A second table gives the first 8 hex
+digits of the sha256 of every file each workload wrote, so a change that
+moves an artifact's bytes shows. Exits 1 when a command fails. Linux only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import statistics
 import subprocess
@@ -54,6 +56,15 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
     return todo
 
 
+def artifact_hashes(work: Path) -> list[tuple[str, str, str]]:
+    """(workload, file name, first 8 hex digits of its sha256) of every output file."""
+    return [
+        (name, path.name, hashlib.sha256(path.read_bytes()).hexdigest()[:8])
+        for name in run.WORKLOADS
+        for path in sorted((work / name / "out").iterdir())
+    ]
+
+
 def own_peak_mb(argv: list[str]) -> float:
     """The VmHWM of a fresh process running `pudroid argv`; raises when it fails."""
     env = dict(os.environ)
@@ -86,12 +97,18 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
+        hashes = artifact_hashes(Path(tmp))
     print(f"Own VmHWM per command, seed {SEED}, MB of 2^20 bytes\n")
     print("| workload command | runs | median |")
     print("|---|---|---|")
     for label, values in peaks.items():
         runs = ", ".join(f"{v:.2f}" for v in values)
         print(f"| `{label}` | {runs} | {statistics.median(values):.2f} |")
+    print(f"\nsha256 of every file each workload wrote, seed {SEED}, first 8 hex digits\n")
+    print("| workload | file | sha256 |")
+    print("|---|---|---|")
+    for name, file, digest in hashes:
+        print(f"| {name} | `{file}` | `{digest}` |")
     return 0
 
 
