@@ -23,6 +23,8 @@ GOLDEN = {
     "clean-tree/report": "082a356a327efdbd2f82752a05f70cec629321f41a2ee881eca9608e501e818b",
     "clean-tree/cleaned": "4ecb39a885507a2e0b47a08aaab8e29b7101e9ea2e0ffba0116b0ed0fe9f6617",
     "rq2/report": "5771bd12ffbca8b4714930661c74c047766c9433fde5c611eedfc6cec624802d",
+    "rq3/report": "89ef10729526b16d4b80035dcdf55b8ba46c5786a384e878f2698e0022c4ce36",
+    "rq4/report": "b490eb4e4a9907cd1301070672464b8e83375e18f0add77becd98969237fd8eb",
     "ingest/raw": "cbb5446925883c7801f25d4c472502097c02fbe70939859be7ee46a7fd9f8444",
     "select/selected": "b5c5dc3397c898db8467af274da77ad183ef9616e62647df080dc679f8290880",
     "clean-selected/report": "b0b36007bfb51a32a608b4a19cb12eb209bfe08ea43cf13937428e3dac79b96f",
@@ -63,15 +65,28 @@ def test_clean_artifacts(dataset_file, tmp_path, capsys, learner, flags):
     assert _sha256(cleaned) == GOLDEN[f"clean-{learner}/cleaned"]
 
 
-def test_rq2_report(tmp_path, capsys):
-    report = tmp_path / "rq2.json"
+def _experiment_sha256(tmp_path, protocol: str, flags: list[str]) -> str:
+    report = tmp_path / f"{protocol}.json"
     code = run([
-        "experiment", "--protocol", "rq2", "--ratios", "1,3", "--n-trees", "5",
+        "experiment", "--protocol", protocol, *flags,
         "--n-positive", "150", "--n-negative", "300", "--dimension", "40",
         "--signal-features", "4", "--n-families", "2", "--seed", "5", "--out", str(report),
     ])
     assert code == 0
-    assert _sha256(report) == GOLDEN["rq2/report"]
+    return _sha256(report)
+
+
+def test_rq2_report(tmp_path, capsys):
+    sha = _experiment_sha256(tmp_path, "rq2", ["--ratios", "1,3", "--n-trees", "5"])
+    assert sha == GOLDEN["rq2/report"]
+
+
+@pytest.mark.parametrize("protocol, flags", [
+    ("rq3", ["--family-exclusive"]),
+    ("rq4", ["--ratio", "3", "--n-trees", "5"]),
+])
+def test_rq3_rq4_reports(tmp_path, capsys, protocol, flags):
+    assert _experiment_sha256(tmp_path, protocol, flags) == GOLDEN[f"{protocol}/report"]
 
 
 @pytest.fixture(scope="module")
