@@ -84,7 +84,7 @@ def truncate_ip(ip: str) -> str:
     if len(parts) != 4:
         raise AddressError(f"malformed IPv4 address: {ip!r}")
     for p in parts:
-        if not p.isdigit() or not 0 <= int(p) <= 255:
+        if not (p.isascii() and p.isdigit()) or not 0 <= int(p) <= 255:  # str.isdigit takes '²'
             raise AddressError(f"malformed IPv4 address: {ip!r}")
     return ".".join(parts[:3]) + ".x"
 

@@ -1,16 +1,17 @@
 """Contamination experiment protocols over synthetic data with known truth.
 
 Each protocol holds out one third of each true class as a fixed test set,
-builds a contaminated training dataset, then compares the detector trained on
-its cleaned set (PU) against the same learner trained directly on the
-contaminated labels (NPU), both fit by `_run_pair`. Contamination never
-touches the test set, and every protocol is a pure function of (data, config, seed).
+builds contaminated training datasets, then compares the detector trained on
+each cleaned set (PU) against the same learner trained directly on the
+contaminated labels (NPU): `_report` scores each such pair with `_run_pair`.
+Contamination never touches the test set, and every protocol is a pure
+function of (data, config, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from dataclasses import asdict, replace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,16 +51,6 @@ def split_test(data: SyntheticData, seed: int) -> tuple[np.ndarray, np.ndarray, 
     return pos_tr, neg_tr, np.concatenate([pos_te, neg_te])
 
 
-def _held_out(
-    base: SyntheticData, seed: int
-) -> tuple[np.ndarray, np.ndarray, BinaryMatrix, np.ndarray]:
-    """(training true positive rows, training true negative rows, X_test, y_test)."""
-    samples = base.dataset.samples
-    pos_tr, neg_tr, test = split_test(base, seed)
-    X_test = BinaryMatrix.from_rows(samples, base.dataset.space.dimension)[test]
-    return pos_tr, neg_tr, X_test, samples.hidden[test]
-
-
 def _dataset(base: SyntheticData, p_rows: np.ndarray, u_rows: np.ndarray) -> PUDataset:
     rows = base.dataset.samples.take(np.concatenate([p_rows, u_rows]))
     return PUDataset(base.dataset.space, rows, len(p_rows))
@@ -93,6 +84,23 @@ def _run_pair(
     return ReportRow(condition, pu, compute_metrics(y_test, npu_scores))
 
 
+def _report(name: str, base: SyntheticData, test: np.ndarray, pairs: Iterable[tuple],
+            config: dict, seed: int, split_fraction: float) -> ExperimentReport:
+    """Each (condition, dataset, cfg, seed[, swapped]) pair, drawn as it runs, scored by
+    `_run_pair` on the test rows; the config gains the generator spec and the split."""
+    X_test = BinaryMatrix.from_rows(base.dataset.samples, base.dataset.space.dimension)[test]
+    y_test = base.dataset.samples.hidden[test]
+    rows = []
+    for condition, ds, cfg, pair_seed, *swapped in pairs:
+        try:
+            row = _run_pair(condition, ds, cfg, X_test, y_test, split_fraction, pair_seed, *swapped)
+        except ValueError as exc:  # the same class, so the CLI's exit code holds
+            raise type(exc)(f"{condition}: {exc}") from exc
+        rows.append(row)
+    config = {**config, "generator": asdict(base.spec), "split_fraction": split_fraction}
+    return ExperimentReport(name, tuple(rows), config, seed)
+
+
 def protocol_rq1(
     base: SyntheticData,
     cfg: TrainConfig,
@@ -102,20 +110,20 @@ def protocol_rq1(
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Move step*N random training positives into the unlabeled group, N = 0..iterations."""
-    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
+    pos_tr, neg_tr, test = split_test(base, seed)
     if step * iterations > len(pos_tr):
         raise ProtocolError(
             f"cannot move {step * iterations} positives; only {len(pos_tr)} available"
         )
 
-    rows = []
-    for n in range(iterations + 1):
-        ds = _move_positives(base, pos_tr, neg_tr, step * n, np.random.default_rng([seed, 1, n]))
-        seed_n = _child_seed(seed, 2, n)
-        rows.append(_run_pair(f"N={n}", ds, cfg, X_test, y_test, split_fraction, seed_n))
+    def pairs():
+        for n in range(iterations + 1):
+            rng = np.random.default_rng([seed, 1, n])
+            ds = _move_positives(base, pos_tr, neg_tr, step * n, rng)
+            yield f"N={n}", ds, cfg, _child_seed(seed, 2, n)
 
     config = {"step": step, "iterations": iterations, "train": cfg.to_dict()}
-    return ExperimentReport("RQ1", tuple(rows), config, seed)
+    return _report("RQ1", base, test, pairs(), config, seed, split_fraction)
 
 
 def protocol_rq2(
@@ -127,28 +135,26 @@ def protocol_rq2(
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Contaminate U with r times as many hidden positives as remain in P."""
-    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
+    pos_tr, neg_tr, test = split_test(base, seed)
 
-    rows = []
-    for ci, ratio in enumerate(ratios):
-        if ratio < 0:
-            raise ProtocolError(f"ratio must be non-negative, got {ratio}")
-        k = int(round(len(pos_tr) * ratio / (1.0 + ratio)))
-        if len(pos_tr) - k < 1:
-            raise ProtocolError(f"ratio {ratio} leaves no positives in P")
-        ds = _move_positives(base, pos_tr, neg_tr, k, np.random.default_rng([seed, 1, ci]))
-        for learner in learners:
-            rows.append(_run_pair(
-                f"{ratio:g}:1/{learner.value}", ds, replace(cfg, learner=learner),
-                X_test, y_test, split_fraction, _child_seed(seed, 2, ci),
-            ))
+    def pairs():
+        for ci, ratio in enumerate(ratios):
+            if ratio < 0:
+                raise ProtocolError(f"ratio must be non-negative, got {ratio}")
+            k = int(round(len(pos_tr) * ratio / (1.0 + ratio)))
+            if len(pos_tr) - k < 1:
+                raise ProtocolError(f"ratio {ratio} leaves no positives in P")
+            ds = _move_positives(base, pos_tr, neg_tr, k, np.random.default_rng([seed, 1, ci]))
+            for learner in learners:
+                condition = f"{ratio:g}:1/{learner.value}"
+                yield condition, ds, replace(cfg, learner=learner), _child_seed(seed, 2, ci)
 
     config = {
         "ratios": [float(r) for r in ratios],
         "learners": [l.value for l in learners],
         "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
-    return ExperimentReport("RQ2", tuple(rows), config, seed)
+    return _report("RQ2", base, test, pairs(), config, seed, split_fraction)
 
 
 def protocol_rq3(
@@ -169,31 +175,25 @@ def protocol_rq3(
     else:
         targets = families
 
-    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
+    pos_tr, neg_tr, test = split_test(base, seed)
     cfg_lin = replace(cfg, learner=Learner.LINEAR)
     ids = base.dataset.samples.ids
     family = np.array([base.family_of[ids[r]] for r in pos_tr.tolist()])
 
-    rows = []
-    for fam in targets:
-        fam_pos, other_pos = pos_tr[family == fam], pos_tr[family != fam]
-        if not len(fam_pos) or not len(other_pos):
-            raise ProtocolError(f"family {fam} leaves an empty training group")
-        n_mix = min(len(fam_pos), len(neg_tr))
-        rng = np.random.default_rng([seed, 1, fam])
-        contaminants = fam_pos[np.sort(rng.permutation(len(fam_pos))[:n_mix])]
-        benign = neg_tr[np.sort(rng.permutation(len(neg_tr))[:n_mix])]
-        ds = _dataset(base, other_pos, np.concatenate([benign, contaminants]))
-        rows.append(_run_pair(
-            f"family-{fam}", ds, cfg_lin, X_test, y_test, split_fraction, _child_seed(seed, 2, fam)
-        ))
+    def pairs():
+        for fam in targets:
+            fam_pos, other_pos = pos_tr[family == fam], pos_tr[family != fam]
+            if not len(fam_pos) or not len(other_pos):
+                raise ProtocolError(f"family {fam} leaves an empty training group")
+            n_mix = min(len(fam_pos), len(neg_tr))
+            rng = np.random.default_rng([seed, 1, fam])
+            contaminants = fam_pos[np.sort(rng.permutation(len(fam_pos))[:n_mix])]
+            benign = neg_tr[np.sort(rng.permutation(len(neg_tr))[:n_mix])]
+            ds = _dataset(base, other_pos, np.concatenate([benign, contaminants]))
+            yield f"family-{fam}", ds, cfg_lin, _child_seed(seed, 2, fam)
 
-    config = {
-        "holdout_family": holdout_family,
-        "families": families,
-        "train": cfg_lin.to_dict(),
-    }
-    return ExperimentReport("RQ3", tuple(rows), config, seed)
+    config = {"holdout_family": holdout_family, "families": families, "train": cfg_lin.to_dict()}
+    return _report("RQ3", base, test, pairs(), config, seed, split_fraction)
 
 
 def protocol_rq4(
@@ -214,7 +214,7 @@ def protocol_rq4(
     """
     if ratio < 0:
         raise ProtocolError(f"ratio must be non-negative, got {ratio}")
-    pos_tr, neg_tr, X_test, y_test = _held_out(base, seed)
+    pos_tr, neg_tr, test = split_test(base, seed)
 
     if ratio == 0:
         m, k = len(pos_tr), 0
@@ -241,16 +241,13 @@ def protocol_rq4(
         base.dataset.space, replace(block, hidden=1 - block.hidden), len(benign_rest)
     )
 
-    rows = []
-    for learner in learners:
-        rows.append(_run_pair(
-            f"{ratio:g}:1/{learner.value}", swapped_ds, replace(cfg, learner=learner),
-            X_test, y_test, split_fraction, _child_seed(seed, 2), swapped=True,
-        ))
-
+    pairs = (
+        (f"{ratio:g}:1/{l.value}", swapped_ds, replace(cfg, learner=l), _child_seed(seed, 2), True)
+        for l in learners
+    )
     config = {
         "ratio": float(ratio),
         "learners": [l.value for l in learners],
         "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
-    return ExperimentReport("RQ4", tuple(rows), config, seed)
+    return _report("RQ4", base, test, pairs, config, seed, split_fraction)

@@ -544,6 +544,17 @@ class TestExitCodes:
             assert f"error: ratio {ratio} is infeasible for this dataset\n" in err
         assert out.exists() == (code == 0)
 
+    def test_pair_failure_names_its_condition(self, tmp_path, capsys):
+        # no features: every unlabeled sample scores like a positive and is flagged
+        out = tmp_path / "rq2.json"
+        argv = ["experiment", "--protocol", "rq2", "--n-positive", "60", "--n-negative", "60",
+                "--dimension", "0", "--signal-features", "0", "--ratios", "1", "--n-trees", "2",
+                "--seed", "0", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: 1:1/forest: retrain: all 60 unlabeled samples were flagged;" in err
+        assert not out.exists()
+
 
 class TestBlasThreads:
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

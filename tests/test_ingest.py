@@ -207,7 +207,9 @@ class TestTruncateIp:
     def test_idempotent_input_shape(self):
         assert truncate_ip("0.0.0.255") == "0.0.0.x"
 
-    @pytest.mark.parametrize("bad", ["1.2.3", "1.2.3.4.5", "a.b.c.d", "1.2.3.256", ""])
+    @pytest.mark.parametrize(
+        "bad", ["1.2.3", "1.2.3.4.5", "a.b.c.d", "1.2.3.256", "", "1.2.3.\u00b2", "\u0661.2.3.4"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             truncate_ip(bad)
@@ -232,6 +234,12 @@ class TestResolverMap:
         p = tmp_path / "map.tsv"
         p.write_text("ok.example\t1.2.3.4\nevil.example\tnot-an-ip\n")
         with pytest.raises(ParseError, match=f"{p}: line 2: malformed IPv4 address: 'not-an-ip'"):
+            load_resolver_map(p)
+
+    def test_rejects_non_ascii_digits(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_text("h\t1.2.\u00b2.4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{p}: line 1: malformed IPv4 address: '1.2.\u00b2.4'"):
             load_resolver_map(p)
 
 

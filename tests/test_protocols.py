@@ -1,6 +1,10 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
+from pudroid import protocols
 from pudroid.classifiers import ForestParams, Learner, LinearParams, TrainConfig
 from pudroid.protocols import (
     ProtocolError,
@@ -10,6 +14,7 @@ from pudroid.protocols import (
     protocol_rq4,
     split_test,
 )
+from pudroid.pu import SplitError
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 SPEC = SyntheticSpec(
@@ -65,6 +70,35 @@ class TestRq1:
         a = protocol_rq1(base, CFG, iterations=1, step=10, seed=3)
         b = protocol_rq1(base, CFG, iterations=1, step=10, seed=3)
         assert a == b
+
+    def test_pairs_are_built_as_they_run(self, base, monkeypatch):
+        built, alive = [], []
+        move, run_pair = protocols._move_positives, protocols._run_pair
+
+        def recording_move(*args):
+            ds = move(*args)
+            built.append(weakref.ref(ds))
+            return ds
+
+        def counting_run_pair(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            return run_pair(*args)
+
+        monkeypatch.setattr(protocols, "_move_positives", recording_move)
+        monkeypatch.setattr(protocols, "_run_pair", counting_run_pair)
+        protocol_rq1(base, CFG, iterations=4, step=10, seed=0)
+        assert len(built) == 5 and len(alive) == 5
+        assert max(alive) <= 2, alive
+
+    def test_config_echoes_generator_and_split(self, base):
+        report = protocol_rq1(base, CFG, iterations=0, seed=0, split_fraction=0.25)
+        assert report.config["generator"] == dataclasses.asdict(SPEC)
+        assert report.config["split_fraction"] == 0.25
+
+    def test_pair_failure_names_its_condition(self, base):
+        # N=1 moves every training positive into U, so P has none to validate on
+        with pytest.raises(SplitError, match=r"^N=1: split: "):
+            protocol_rq1(base, CFG, iterations=1, step=100, seed=0)
 
 
 class TestRq2:
