@@ -27,6 +27,7 @@ GOLDEN = {
     "rq4/report": "b490eb4e4a9907cd1301070672464b8e83375e18f0add77becd98969237fd8eb",
     "ingest/raw": "cbb5446925883c7801f25d4c472502097c02fbe70939859be7ee46a7fd9f8444",
     "select/selected": "b5c5dc3397c898db8467af274da77ad183ef9616e62647df080dc679f8290880",
+    "select/features-out": "f6fa4006b5c827999b3c7d8e433eec951b453c4bac92e35d0adfeafc3b84c12f",
     "clean-selected/report": "b0b36007bfb51a32a608b4a19cb12eb209bfe08ea43cf13937428e3dac79b96f",
     "clean-selected/cleaned": "ba500c6c43198fc6fa8c0a086fdcab509c00a31d32f8aa65e6167bbb897864be",
     "clean-selected-discard/report": "ce193ba1a994728a0cc1dd8cfe970953750b7b56f15dfb7a2a8d713718c9d369",
@@ -114,20 +115,23 @@ def corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def selected_file(corpus, tmp_path_factory):
-    """(raw, selected): the corpus ingested, then its features selected."""
+    """(raw, selected, names): the corpus ingested, then its features selected,
+    with the retained features' kind::name lines."""
     manifest, ipmap = corpus
     out = tmp_path_factory.mktemp("selected")
-    raw, selected = out / "raw.json", out / "selected.json"
+    raw, selected, names = out / "raw.json", out / "selected.json", out / "features.txt"
     assert run(["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap),
                 "--out", str(raw)]) == 0
-    assert run(["select-features", "--dataset", str(raw), "--out", str(selected)]) == 0
-    return raw, selected
+    assert run(["select-features", "--dataset", str(raw), "--out", str(selected),
+                "--features-out", str(names)]) == 0
+    return raw, selected, names
 
 
 def test_ingest_and_select_artifacts(selected_file):
-    raw, selected = selected_file
+    raw, selected, names = selected_file
     assert _sha256(raw) == GOLDEN["ingest/raw"]
     assert _sha256(selected) == GOLDEN["select/selected"]
+    assert _sha256(names) == GOLDEN["select/features-out"]
 
 
 @pytest.mark.parametrize("name, flags", [
