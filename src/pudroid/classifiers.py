@@ -39,13 +39,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .features import BinaryMatrix, DimensionError, check_ranges
+from .features import _CHUNK, BinaryMatrix, DimensionError, check_ranges
 
 FORMAT_VERSION = "pudroid-model/1"
 
@@ -54,10 +53,7 @@ class TrainingError(ValueError):
     pass
 
 
-class Learner(Enum):
-    LINEAR = "linear"
-    TREE = "tree"
-    FOREST = "forest"
+LEARNERS = ("linear", "tree", "forest")
 
 
 # each field's "range" is checked here and by the CLI's flags
@@ -98,15 +94,19 @@ class ForestParams:
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
-    learner: Learner = Learner.FOREST
+    learner: str = "forest"  # one of LEARNERS
     linear: LinearParams = field(default_factory=LinearParams)
     tree: TreeParams = field(default_factory=TreeParams)
     forest: ForestParams = field(default_factory=ForestParams)
 
+    def __post_init__(self) -> None:
+        if self.learner not in LEARNERS:
+            raise ValueError(f"learner must be one of {', '.join(LEARNERS)}, got {self.learner!r}")
+
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "learner": self.learner.value,
+            "learner": self.learner,
             "linear": vars(self.linear).copy(),
             "tree": vars(self.tree).copy(),
             "forest": vars(self.forest).copy(),
@@ -225,18 +225,14 @@ def _gini(n: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-# the most uniforms one block of a candidate draw holds, unless one row needs more
-_DRAW_BLOCK = 1 << 16
-
-
 def _draw_candidates(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
     """(m, k) candidate features for the m nodes of a depth, each row a sorted
     uniform k-subset of range(d): the positions of the k smallest of d uniforms.
 
-    The uniforms come in row blocks of at most max(d, _DRAW_BLOCK) values; the
+    The uniforms come in row blocks of at most max(d, _CHUNK) values; the
     blocks consume the generator's stream in order, so their size moves no draw.
     """
-    step = max(1, _DRAW_BLOCK // d)
+    step = max(1, _CHUNK // d)
     out = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, step):
         u = rng.random((min(step, m - start), d))
@@ -550,8 +546,8 @@ class ForestModel(ProbabilisticClassifier):
 
 def train(X: BinaryMatrix, y: np.ndarray, cfg: TrainConfig) -> ProbabilisticClassifier:
     """Train the configured learner on a 0/1 matrix with binary targets."""
-    if cfg.learner is Learner.LINEAR:
+    if cfg.learner == "linear":
         return LinearModel.fit(X, y, cfg.linear)
-    if cfg.learner is Learner.TREE:
+    if cfg.learner == "tree":
         return TreeModel.fit(X, y, cfg.tree)
     return ForestModel.fit(X, y, cfg.forest, cfg.tree, cfg.seed)

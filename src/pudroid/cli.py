@@ -21,7 +21,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .classifiers import ForestParams, Learner, LinearParams, TrainConfig, TreeParams
+from .classifiers import LEARNERS, ForestParams, LinearParams, TrainConfig, TreeParams
 from .datasets import load_dataset, save_dataset
 from .features import within
 from .ingest import build_dataset, load_manifest, load_resolver_map
@@ -132,7 +132,7 @@ _SPEC_PARSE = {
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", choices=[l.value for l in Learner], default="forest")
+    p.add_argument("--learner", choices=LEARNERS, default="forest")
     # each flag takes the range, default and help of the parameter it sets
     fields = {f.name: f for params in (LinearParams, TreeParams, ForestParams)
               for f in dataclasses.fields(params)}
@@ -149,7 +149,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         seed=args.seed,
-        learner=Learner(args.learner),
+        learner=args.learner,
         linear=LinearParams(args.lr, args.epochs, args.l2),
         tree=TreeParams(args.max_depth, args.min_leaf),
         forest=ForestParams(args.n_trees, args.features_per_split, not args.no_bootstrap),
@@ -275,7 +275,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
     projected = project_dataset(ds, retained)
     save_dataset(projected, args.out)
     if args.features_out:
-        lines = [f"{kind.value}::{name}" for name, kind in projected.space.features]
+        lines = [f"{kind}::{name}" for name, kind in projected.space.features]
         Path(args.features_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(
         f"retained {len(retained)}/{ds.space.dimension} features (tm={th.tm}, tb={th.tb})",

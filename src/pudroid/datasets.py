@@ -15,11 +15,12 @@ from itertools import starmap
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
 from pathlib import Path
+from sys import intern
 from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from .features import KIND_OF, FeatureKind, FeatureSpace, PUDataset, SampleRows
+from .features import KINDS, FeatureSpace, PUDataset, SampleRows
 from .report import DATASET_SCHEMA
 
 _MISSING = object()
@@ -38,7 +39,7 @@ def dataset_to_dict(ds: PUDataset) -> dict:
 
     return {
         "schema": DATASET_SCHEMA,
-        "features": [[name, kind.value] for name, kind in ds.space.features],
+        "features": [[name, kind] for name, kind in ds.space.features],
         "positives": list(starmap(sample_dict, _row_slices(ds.positives))),
         "unlabeled": list(starmap(sample_dict, _row_slices(ds.unlabeled))),
     }
@@ -66,12 +67,12 @@ def dataset_from_dict(data: dict) -> PUDataset:
     if schema != DATASET_SCHEMA:
         raise ValueError(f"unsupported dataset schema: {schema!r}")
 
-    def feature(pairs: list, i: int) -> tuple[str, FeatureKind]:
+    def feature(pairs: list, i: int) -> tuple[str, str]:
         pair, path = _at(pairs, i, list, "$.features"), f"$.features[{i}]"
         kind = _at(pair, 1, str, path)
-        if kind not in KIND_OF:
-            raise ValueError(f"dataset JSON: {path}[1] must be one of {sorted(KIND_OF)}, got {kind!r}")
-        return _at(pair, 0, str, path), KIND_OF[kind]
+        if kind not in KINDS:
+            raise ValueError(f"dataset JSON: {path}[1] must be one of {list(KINDS)}, got {kind!r}")
+        return _at(pair, 0, str, path), kind
 
     pairs, pos, unl = (_at(data, k, list, "$") for k in ("features", "positives", "unlabeled"))
     space = FeatureSpace(tuple(feature(pairs, i) for i in range(len(pairs))))
@@ -118,12 +119,11 @@ def save_dataset(ds: PUDataset, path: str | Path) -> None:
     hold no floats, so the layout (indent 2, sorted keys, ASCII-escaped
     strings) is written per feature and per sample, straight to the open
     file: memory holds one sample's text at a time, never the document's."""
-    kinds = {kind: _quote(kind.value) for kind in FeatureKind}
     on_tokens = [f",\n        {i}" for i in range(ds.space.dimension)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "features": ')
         _write_array(fh, (
-            f"[\n      {_quote(name)},\n      {kinds[kind]}\n    ]"
+            f"[\n      {_quote(name)},\n      {_quote(kind)}\n    ]"
             for name, kind in ds.space.features
         ))
         fh.write(',\n  "positives": ')
@@ -158,7 +158,7 @@ class _Reader:
     def __init__(self, fh: BinaryIO):
         self.fh, self.text, self.at, self.literals = fh, "", 0, False
         self.decode = codecs.getincrementaldecoder("utf-8")().decode
-        self.features: list[tuple[str, FeatureKind]] = []
+        self.features: list[tuple[str, str]] = []
         self.ids: list[str] = []
         self.indptr, self.indices, self.hidden = array("q", [0]), array("q"), array("q")
 
@@ -219,9 +219,9 @@ class _Reader:
 
     def _feature(self, pair) -> None:
         if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
-                and type(pair[1]) is str and pair[1] in KIND_OF):
+                and type(pair[1]) is str and pair[1] in KINDS):
             raise _Refused
-        self.features.append((pair[0], KIND_OF[pair[1]]))
+        self.features.append((pair[0], intern(pair[1])))  # one string per kind, not per feature
 
     def _sample(self, entry) -> None:
         if type(entry) is not dict:

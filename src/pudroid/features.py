@@ -11,10 +11,9 @@ the block it is given and makes its arrays read-only, and its `positives` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,37 +42,30 @@ def check_ranges(params, error: type[ValueError] = ValueError) -> None:
             raise error(f"{f.name} must be in {interval}, got {value!r}")
 
 
-class FeatureKind(Enum):
-    PERMISSION = "permission"
-    API = "api"
-    IP_ADDRESS = "ip"
-
-
-# value -> kind; a dict lookup, where FeatureKind(value) goes through the enum machinery
-KIND_OF = {kind.value: kind for kind in FeatureKind}
+KINDS = ("api", "ip", "permission")  # a feature's kind, as files and reports spell it
 
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """Ordered universe of distinct (name, kind) features; order defines vector
-    indices. The space keeps the order it is given (ingest gives it in
-    (kind value, name) order)."""
+    """Ordered universe of distinct (name, kind) features, a kind being one of
+    KINDS; order defines vector indices. The space keeps the order it is given
+    (ingest gives it in (kind, name) order)."""
 
-    features: tuple[tuple[str, FeatureKind], ...]
+    features: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
         if len(set(self.features)) != self.dimension:
             index = self.index_of()
-            n, k = next(f for i, f in enumerate(self.features) if index[f[1].value, f[0]] != i)
-            raise DatasetError(f"feature {n!r} of kind {k.value!r} occurs twice")
+            n, k = next(f for i, f in enumerate(self.features) if index[f[1], f[0]] != i)
+            raise DatasetError(f"feature {n!r} of kind {k!r} occurs twice")
 
     @property
     def dimension(self) -> int:
         return len(self.features)
 
     def index_of(self) -> dict[tuple[str, str], int]:
-        """Vector index of each feature by its (kind value, name) key."""
-        return {(kind.value, name): i for i, (name, kind) in enumerate(self.features)}
+        """Vector index of each feature by its (kind, name) key."""
+        return {(kind, name): i for i, (name, kind) in enumerate(self.features)}
 
 
 def offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -122,12 +114,17 @@ class SampleRows:
         if len(bad_hidden):
             raise DatasetError(f"hidden must be 0, 1 or absent, got {bad_hidden[0]}")
         if len(idx) and idx.min() < 0:
-            raise DimensionError("negative feature index")
+            self._fault(np.argmax(idx < 0), "negative feature index")
         step_down = idx[1:] <= idx[:-1]
         # each row's first index may step down from the previous row's last
         step_down[starts[(starts > 0) & (starts < len(idx))] - 1] = False
         if step_down.any():
-            raise DimensionError("indices must be strictly increasing")
+            self._fault(step_down.argmax() + 1, "indices must be strictly increasing")
+
+    def _fault(self, at: int, message: str) -> NoReturn:
+        """Raise `message` for the sample that holds stored one `at`."""
+        row = np.searchsorted(self.indptr, at, side="right") - 1
+        raise DimensionError(f"sample {self.ids[row]!r}: {message}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -202,7 +199,7 @@ def dense_matrix(rows: SampleRows, dimension: int) -> np.ndarray:
     return out
 
 
-_CHUNK = 1 << 16  # about this many stored ones are gathered at once by the products
+_CHUNK = 1 << 16  # about this many stored ones are gathered, or uniforms drawn, at once
 
 
 class _Segments(NamedTuple):

@@ -15,16 +15,18 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 
-from .features import KIND_OF, DatasetError, FeatureSpace, PUDataset, SampleRows, offsets
+from .features import DatasetError, FeatureSpace, PUDataset, SampleRows, offsets
 
 KIND_TAGS = ("permission", "api", "url", "ip")
 # each tag as one string object, so that the keys of many lines share it
 _SHARED_TAG = dict(zip(KIND_TAGS, KIND_TAGS))
+# an octet is 0-255 in ASCII decimal with no leading zero, which inet_aton reads as octal
+_OCTETS = frozenset(map(str, range(256)))
 
 
 class ParseError(ValueError):
@@ -35,20 +37,15 @@ class AddressError(ParseError):
     """Malformed IPv4 address."""
 
 
-class Group(Enum):
-    POSITIVE = "positive"
-    UNLABELED = "unlabeled"
-
-
 @dataclass(frozen=True)
 class ManifestRow:
     app_id: str
     path: str
-    group: Group
+    group: str  # "positive" or "unlabeled"
 
 
 def line_key(line: str, resolver: dict[str, str]) -> tuple[str, str] | None:
-    """The (kind value, name) key of one feature-file line, or None when it adds
+    """The (kind, name) key of one feature-file line, or None when it adds
     none: a blank or "#" line, or a url with no resolver entry.
 
     A url value is looked up in `resolver` and becomes an ip key; an ip value
@@ -81,11 +78,8 @@ def line_key(line: str, resolver: dict[str, str]) -> tuple[str, str] | None:
 def truncate_ip(ip: str) -> str:
     """Keep the three most significant octets: "216.59.192.44" -> "216.59.192.x"."""
     parts = ip.strip().split(".")
-    if len(parts) != 4:
+    if len(parts) != 4 or not _OCTETS.issuperset(parts):
         raise AddressError(f"malformed IPv4 address: {ip!r}")
-    for p in parts:
-        if not (p.isascii() and p.isdigit()) or not 0 <= int(p) <= 255:  # str.isdigit takes '²'
-            raise AddressError(f"malformed IPv4 address: {ip!r}")
     return ".".join(parts[:3]) + ".x"
 
 
@@ -136,7 +130,7 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
                 if app_id in seen:
                     raise DatasetError(f"{path}: duplicate app_id {app_id!r}")
                 seen.add(app_id)
-                rows.append(ManifestRow(app_id, rel_path, Group(group_tag)))
+                rows.append(ManifestRow(app_id, rel_path, intern(group_tag)))  # shared per group
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not rows:  # else an empty dataset would be written
@@ -151,8 +145,8 @@ def build_dataset(
 ) -> PUDataset:
     """Read every app's feature file and assemble the full PUDataset.
 
-    The FeatureSpace is the union of observed (kind value, name) keys after URL
-    resolution and IP truncation, ordered by (kind value, name), so identical
+    The FeatureSpace is the union of observed (kind, name) keys after URL
+    resolution and IP truncation, ordered by (kind, name), so identical
     inputs always produce identical index assignments.
 
     Features recur from app to app, so each distinct raw line is parsed once:
@@ -204,12 +198,12 @@ def build_dataset(
     keys = list(numbers)
     del numbers
     by_key = sorted(range(len(keys)), key=keys.__getitem__)  # index -> number
-    space = FeatureSpace(tuple((keys[i][1], KIND_OF[keys[i][0]]) for i in by_key))
+    space = FeatureSpace(tuple((keys[i][1], keys[i][0]) for i in by_key))
     del keys
     # each stored one is keyed by its app's row in the P-then-U block and its
     # index, as row * d + index in the narrowest type that holds n * d: one
     # in-place sort puts the block in row order and each row's indices in order
-    is_positive = np.array([row.group is Group.POSITIVE for row in manifest])
+    is_positive = np.array([row.group == "positive" for row in manifest])
     order = np.argsort(~is_positive, kind="stable")  # block row -> manifest row
     d = max(space.dimension, 1)
     cell = np.min_scalar_type(len(manifest) * d)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Learner, TrainConfig, train
+from .classifiers import TrainConfig, train
 from .features import BinaryMatrix, PUDataset
 # not called here: perfbench/tracing.py wraps this name until ROADMAP item 1
 from .features import dense_matrix  # noqa: F401
@@ -131,7 +131,7 @@ def protocol_rq2(
     ratios: Sequence[float],
     cfg: TrainConfig,
     seed: int = 0,
-    learners: Sequence[Learner] = (Learner.FOREST, Learner.TREE),
+    learners: Sequence[str] = ("forest", "tree"),
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Contaminate U with r times as many hidden positives as remain in P."""
@@ -146,12 +146,12 @@ def protocol_rq2(
                 raise ProtocolError(f"ratio {ratio} leaves no positives in P")
             ds = _move_positives(base, pos_tr, neg_tr, k, np.random.default_rng([seed, 1, ci]))
             for learner in learners:
-                condition = f"{ratio:g}:1/{learner.value}"
+                condition = f"{ratio:g}:1/{learner}"
                 yield condition, ds, replace(cfg, learner=learner), _child_seed(seed, 2, ci)
 
     config = {
         "ratios": [float(r) for r in ratios],
-        "learners": [l.value for l in learners],
+        "learners": list(learners),
         "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
     return _report("RQ2", base, test, pairs(), config, seed, split_fraction)
@@ -176,7 +176,7 @@ def protocol_rq3(
         targets = families
 
     pos_tr, neg_tr, test = split_test(base, seed)
-    cfg_lin = replace(cfg, learner=Learner.LINEAR)
+    cfg_lin = replace(cfg, learner="linear")
     ids = base.dataset.samples.ids
     family = np.array([base.family_of[ids[r]] for r in pos_tr.tolist()])
 
@@ -201,7 +201,7 @@ def protocol_rq4(
     cfg: TrainConfig,
     ratio: float = 8.0,
     seed: int = 0,
-    learners: Sequence[Learner] = (Learner.LINEAR, Learner.TREE, Learner.FOREST),
+    learners: Sequence[str] = ("linear", "tree", "forest"),
     split_fraction: float = 0.2,
 ) -> ExperimentReport:
     """Reverse contamination: benign apps mislabeled into the positive group.
@@ -242,12 +242,12 @@ def protocol_rq4(
     )
 
     pairs = (
-        (f"{ratio:g}:1/{l.value}", swapped_ds, replace(cfg, learner=l), _child_seed(seed, 2), True)
+        (f"{ratio:g}:1/{l}", swapped_ds, replace(cfg, learner=l), _child_seed(seed, 2), True)
         for l in learners
     )
     config = {
         "ratio": float(ratio),
-        "learners": [l.value for l in learners],
+        "learners": list(learners),
         "train": {k: v for k, v in cfg.to_dict().items() if k != "learner"},
     }
     return _report("RQ4", base, test, pairs, config, seed, split_fraction)

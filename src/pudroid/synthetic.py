@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureKind, FeatureSpace, PUDataset, SampleRows, check_ranges, offsets
+from .features import _CHUNK, FeatureSpace, PUDataset, SampleRows, check_ranges, offsets
 
 SIGNAL_RATE = 0.8
 BACKGROUND_RATE = 0.05
-_DRAW_BLOCK = 1 << 16  # the most uniforms drawn at once
 
 
 class SpecError(ValueError):
@@ -84,7 +83,7 @@ def _class_rates(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _feature_space(dimension: int) -> FeatureSpace:
-    names = tuple((f"f{i:04d}", FeatureKind.API) for i in range(dimension))
+    names = tuple((f"f{i:04d}", "api") for i in range(dimension))
     return FeatureSpace(names)
 
 
@@ -96,9 +95,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     n_pos, n = spec.n_positive, spec.n_positive + spec.n_negative
     X = np.empty((n, spec.dimension), dtype=bool)  # true positives first
-    # the uniforms come in row blocks of at most max(d, _DRAW_BLOCK) values; the
+    # the uniforms come in row blocks of at most max(d, _CHUNK) values; the
     # blocks consume the generator's stream in order, so their size moves no draw
-    step = max(1, _DRAW_BLOCK // max(spec.dimension, 1))
+    step = max(1, _CHUNK // max(spec.dimension, 1))
     for low, high in ((0, n_pos), (n_pos, n)):
         for start in range(low, high, step):
             stop = min(start + step, high)

@@ -6,14 +6,14 @@ import numpy as np
 from hypothesis import settings, strategies as st
 
 from pudroid import classifiers
-from pudroid.features import BinaryMatrix, FeatureKind, FeatureSpace, PUDataset, SampleRows, offsets
+from pudroid.features import BinaryMatrix, FeatureSpace, PUDataset, SampleRows, offsets
 
 # `pytest --hypothesis-profile=ci`: a failing property prints the blob that
 # replays its example with @reproduce_failure
 settings.register_profile("ci", print_blob=True)
 
 
-def space_of(n: int, kind: FeatureKind = FeatureKind.API) -> FeatureSpace:
+def space_of(n: int, kind: str = "api") -> FeatureSpace:
     return FeatureSpace(tuple((f"f{i:03d}", kind) for i in range(n)))
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from pudroid.classifiers import (
     ForestParams,
-    Learner,
     LinearParams,
     TrainConfig,
     TreeModel,
@@ -56,7 +55,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _fit_estimator(c: float, seed: int) -> float:
-    cfg = TrainConfig(seed=seed, learner=Learner.LINEAR, linear=LINEAR)
+    cfg = TrainConfig(seed=seed, learner="linear", linear=LINEAR)
     data = generate_synthetic(SyntheticSpec(label_frequency_c=c, seed=seed))
     X, z = training_arrays(data.dataset)
     train_rows, p_rows = split_validation(z, 0.2, seed)
@@ -88,7 +87,7 @@ def test_c02_adjusted_score_recovers_true_posterior():
         data = generate_synthetic(spec)
         X, z = training_arrays(data.dataset)
         train_rows, p_rows = split_validation(z, 0.2, seed)
-        cfg = TrainConfig(seed=seed, learner=Learner.LINEAR, linear=LINEAR)
+        cfg = TrainConfig(seed=seed, learner="linear", linear=LINEAR)
         model = train(X[train_rows], z[train_rows], cfg)
         pu = PUModel(model, estimate_e(model.score_matrix(X[p_rows])))
         held_out = generate_synthetic(
@@ -116,7 +115,7 @@ def test_c03_clean_data_identity_across_learners():
         cfg = TrainConfig(seed=seed, linear=LINEAR, forest=FOREST)
         report = protocol_rq2(
             base, [0.0], cfg, seed=seed,
-            learners=(Learner.LINEAR, Learner.TREE, Learner.FOREST),
+            learners=("linear", "tree", "forest"),
         )
         for row in report.rows:
             worst_auc = max(worst_auc, abs(row.pu.auc - row.npu.auc))
@@ -225,7 +224,7 @@ def test_c07_reversed_contamination_trend():
         base = generate_synthetic(SyntheticSpec(seed=seed))
         cfg = TrainConfig(seed=seed, linear=LINEAR, forest=FOREST)
         report = protocol_rq4(
-            base, cfg, ratio=8.0, seed=seed, learners=(Learner.TREE, Learner.FOREST)
+            base, cfg, ratio=8.0, seed=seed, learners=("tree", "forest")
         )
         forest_pu.append(_row(report, "8:1/forest").pu.accuracy)
         forest_npu.append(_row(report, "8:1/forest").npu.accuracy)
@@ -247,7 +246,7 @@ def test_c08_planted_contaminant_recovery():
     for seed in range(3):
         data = generate_synthetic(SyntheticSpec(label_frequency_c=0.75, seed=seed))
         planted = set(planted_contaminant_ids(data))
-        cfg = TrainConfig(seed=seed, learner=Learner.FOREST, forest=FOREST)
+        cfg = TrainConfig(seed=seed, learner="forest", forest=FOREST)
         result = clean_and_retrain(data.dataset, cfg, seed=seed)
         flagged = set(result.contaminant_ids)
         negatives = np.flatnonzero(data.dataset.unlabeled.hidden == 0)

@@ -13,9 +13,9 @@ from conftest import logistic_loss_and_grad, matrix_of, pu_datasets
 
 from pudroid import classifiers
 from pudroid.classifiers import (
+    LEARNERS,
     ForestModel,
     ForestParams,
-    Learner,
     LinearModel,
     LinearParams,
     TrainConfig,
@@ -508,7 +508,7 @@ class TestCandidateDraw:
         assert whole.shape == (m, k)
         assert ((np.diff(whole, axis=1) > 0).all() and whole.min() >= 0 and whole.max() < d)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classifiers, "_DRAW_BLOCK", block)
+            patch.setattr(classifiers, "_CHUNK", block)
             blocks = classifiers._draw_candidates(np.random.default_rng(seed), m, d, k)
         assert np.array_equal(blocks, whole)
 
@@ -539,9 +539,9 @@ class TestCandidateDraw:
             patch.setattr(classifiers, "_draw_candidates", record)
             ForestModel.fit(X, y, ForestParams(n_trees=2), TreeParams(min_leaf=20), 0)
         blocks = [shape for _, shapes in calls for shape in shapes]
-        assert all(cols == d and rows * cols <= classifiers._DRAW_BLOCK for rows, cols in blocks)
+        assert all(cols == d and rows * cols <= classifiers._CHUNK for rows, cols in blocks)
         assert all(sum(rows for rows, _ in shapes) == m for m, shapes in calls)
-        assert max(m for m, _ in calls) > classifiers._DRAW_BLOCK // d  # a depth took several blocks
+        assert max(m for m, _ in calls) > classifiers._CHUNK // d  # a depth took several blocks
 
 
 def _walk(tree: dict, X) -> list[float]:
@@ -636,17 +636,25 @@ class TestCommonSurface:
     def test_train_dispatch(self):
         rng = np.random.default_rng(7)
         X, y = _xor_free_problem(rng)
-        assert isinstance(train(X, y, TrainConfig(learner=Learner.LINEAR)), LinearModel)
-        assert isinstance(train(X, y, TrainConfig(learner=Learner.TREE)), TreeModel)
-        cfg = TrainConfig(learner=Learner.FOREST, forest=ForestParams(n_trees=3))
+        assert isinstance(train(X, y, TrainConfig(learner="linear")), LinearModel)
+        assert isinstance(train(X, y, TrainConfig(learner="tree")), TreeModel)
+        cfg = TrainConfig(learner="forest", forest=ForestParams(n_trees=3))
         assert isinstance(train(X, y, cfg), ForestModel)
+
+    @pytest.mark.parametrize("learner", ["Forest", "", "svm", None])
+    def test_unknown_learner_is_refused_where_it_enters(self, learner):
+        # "tree" once trained a forest, and an unknown name failed only in to_dict
+        with pytest.raises(ValueError) as err:
+            TrainConfig(learner=learner)
+        assert str(err.value) == f"learner must be one of linear, tree, forest, got {learner!r}"
 
     def test_single_class_target_is_an_error(self):
         X = matrix_of(np.ones((4, 2)))
         with pytest.raises(TrainingError, match="degenerate"):
-            train(X, np.ones(4), TrainConfig(learner=Learner.LINEAR))
+            train(X, np.ones(4), TrainConfig(learner="linear"))
 
-    @pytest.mark.parametrize("learner", list(Learner))
+    # the case ids keep the spelling they had when learners were enum members
+    @pytest.mark.parametrize("learner", LEARNERS, ids=lambda l: f"Learner.{l.upper()}")
     @pytest.mark.parametrize("bad, named", [(2, "2"), (-1, "-1"), (0.5, "0.5"), (math.nan, "nan")])
     def test_targets_must_be_zero_or_one(self, learner, bad, named):
         # a tree once scored every row 0.95 on y in {0, 2}, and a forest failed

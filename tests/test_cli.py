@@ -357,6 +357,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_octet_with_a_leading_zero_in_resolver_map_is_data_error(self, corpus, tmp_path,
+                                                                       capsys):
+        # inet_aton reads "01" as octal, so the address has no single /24
+        manifest, ipmap = corpus
+        ipmap.write_text("evil.example\t9.8.7.6\nh\t10.0.01.1\n")
+        out = tmp_path / "ds.json"
+        code = run(
+            ["ingest", "--manifest", str(manifest), "--ipmap", str(ipmap), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {ipmap}: line 2: malformed IPv4 address: '10.0.01.1'\n" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "row, count", [("ben-3,feats/ben2.txt", 2), ("ben-3,x.txt,unlabeled,x", 4)]
     )
@@ -446,7 +460,7 @@ class TestExitCodes:
                  "schema": DATASET_SCHEMA, "features": [["a", "api"], ["b", "api"]],
                  "positives": [{"id": "p", "on": [1, 0]}], "unlabeled": [{"id": "u", "on": []}],
              }).encode(),
-             "{path}: indices must be strictly increasing"),
+             "{path}: sample 'p': indices must be strictly increasing"),
             ("deep", b"[" * 100000 + b"]" * 100000,  # past the parser's recursion limit
              "{path}: dataset JSON: $ is nested too deeply to parse"),
             ("bom", "\ufeff{}".encode(),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pudroid.datasets
 from pudroid.datasets import dataset_from_dict, dataset_to_dict, load_dataset, save_dataset
-from pudroid.features import FeatureKind, FeatureSpace, PUDataset, SampleRows
+from pudroid.features import KINDS, FeatureSpace, PUDataset, SampleRows
 from pudroid.report import DATASET_SCHEMA, dumps
 from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
@@ -23,7 +23,7 @@ TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\x85é€ 😀a') | st.cha
 @st.composite
 def datasets(draw) -> PUDataset:
     names = draw(st.lists(TEXT, unique=True, max_size=10))
-    kinds = draw(st.lists(st.sampled_from(FeatureKind), min_size=len(names), max_size=len(names)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=len(names), max_size=len(names)))
     n_p, n_u = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     ids = draw(st.lists(TEXT, unique=True, min_size=n_p + n_u, max_size=n_p + n_u))
     on = st.sets(st.integers(0, len(names) - 1)) if names else st.just(set())
@@ -47,7 +47,7 @@ class TestWriterOracle:
         _assert_written_as_reference(ds, tmp_path_factory.mktemp("w") / "ds.json")
 
     def test_edge_datasets(self, tmp_path):
-        space = FeatureSpace((('a"b\\c', FeatureKind.API), ("\x01é😀", FeatureKind.IP_ADDRESS)))
+        space = FeatureSpace((('a"b\\c', "api"), ("\x01é😀", "ip")))
         both = SampleRows.build(["p\n0", "u\t0"], [(), (0, 1)], [1, -1])
         for ds in (
             PUDataset(space, both, 1),
@@ -215,7 +215,8 @@ def _first_on(token: str) -> str:
     return BASE.replace('"on": [\n        0,', f'"on": [\n        {token},')
 
 
-# each message as the loader printed it before it read element by element
+# each message as the loader printed it before it read element by element, but
+# that an index fault now names its sample
 MALFORMED = {
     "utf8": (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "json": ('{"schema": }', "Expecting value: line 1 column 12 (char 11)"),
@@ -223,7 +224,10 @@ MALFORMED = {
     "no-positives": (json.dumps({"schema": DATASET_SCHEMA, "features": [], "unlabeled": []}),
                      "dataset JSON: missing $.positives"),
     "unsorted-on": (_doc(positives=[{"id": "p", "on": [1, 0]}]),
-                    "indices must be strictly increasing"),
+                    "sample 'p': indices must be strictly increasing"),
+    "repeated-on-after-empty-row": (
+        _doc(unlabeled=[{"id": "u0", "on": []}, {"id": "u1", "on": [1, 1]}]),
+        "sample 'u1': indices must be strictly increasing"),
     "deep": ("[" * 100000 + "]" * 100000, "dataset JSON: $ is nested too deeply to parse"),
     "repeated-key": (BASE.replace('"schema": "pudroid-dataset/1"',
                                   '"schema": "pudroid-dataset/1",\n  "schema": "x"'),
@@ -236,8 +240,10 @@ MALFORMED = {
     "true-in-on": (_first_on("true"), "dataset JSON: $.positives[0].on must hold only integers"),
     "float-in-on": (_first_on("1.0"), "dataset JSON: $.positives[0].on must hold only integers"),
     "nan-in-on": (_first_on("NaN"), "dataset JSON: $.positives[0].on must hold only integers"),
-    "2**70-in-on": (_first_on(str(2**70)), "indices must be strictly increasing"),
-    "negative-on": (_first_on("-1"), "negative feature index"),
+    "2**70-in-on": (_first_on(str(2**70)), "sample 'p': indices must be strictly increasing"),
+    "negative-on": (_first_on("-1"), "sample 'p': negative feature index"),
+    "negative-on-in-u": (_doc(unlabeled=[{"id": "u0", "on": [1]}, {"id": "u1", "on": [-1]}]),
+                         "sample 'u1': negative feature index"),
     "out-of-range": (_doc(unlabeled=[{"id": "u", "on": [2]}]),
                      "sample 'u' has feature index outside space of dimension 2"),
     "duplicate-id": (_doc(unlabeled=[{"id": "p", "on": [1]}]),

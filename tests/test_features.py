@@ -14,7 +14,6 @@ from pudroid.features import (
     BinaryMatrix,
     DatasetError,
     DimensionError,
-    FeatureKind,
     FeatureSpace,
     PUDataset,
     dense_matrix,
@@ -25,7 +24,7 @@ from pudroid.synthetic import SyntheticSpec, generate_synthetic
 
 class TestFeatureSpace:
     def test_repeated_feature_rejected(self):
-        features = (("a", FeatureKind.API), ("a", FeatureKind.PERMISSION), ("a", FeatureKind.API))
+        features = (("a", "api"), ("a", "permission"), ("a", "api"))
         with pytest.raises(DatasetError, match="feature 'a' of kind 'api' occurs twice"):
             FeatureSpace(features)
 
@@ -33,7 +32,7 @@ class TestFeatureSpace:
         space = space_of(5)
         index = space.index_of()
         for i, (name, kind) in enumerate(space.features):
-            assert index[kind.value, name] == i
+            assert index[kind, name] == i
 
 
 class TestSparseBinaryVector:
@@ -143,12 +142,12 @@ class TestPUDataset:
         assert dataset_to_dict(loaded) == doc
 
 
-def _old_row_rule(row) -> str | None:
+def _old_row_rule(sid: str, row) -> str | None:
     """The per-sample index check SampleRows replaced: its error, or None."""
     if row and min(row) < 0:
-        return "negative feature index"
+        return f"sample {sid!r}: negative feature index"
     if not all(map(operator.lt, row, row[1:])):
-        return "indices must be strictly increasing"
+        return f"sample {sid!r}: indices must be strictly increasing"
     return None
 
 
@@ -168,9 +167,10 @@ class TestRowsOracle:
     @example(rows=EDGE_ROWS)
     @example(rows=[[], [], [-1]])
     def test_accepts_and_rejects_as_the_row_rule(self, rows):
-        errors = [e for e in map(_old_row_rule, rows) if e]
+        ids = [str(i) for i in range(len(rows))]
+        errors = [e for e in map(_old_row_rule, ids, rows) if e]
         try:
-            built = rows_of([str(i) for i in range(len(rows))], rows)
+            built = rows_of(ids, rows)
         except DimensionError as exc:
             assert str(exc) in errors
         else:

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import row_lists
 from pudroid.datasets import dataset_to_dict, load_dataset, save_dataset
-from pudroid.features import DatasetError, FeatureKind, FeatureSpace, PUDataset, SampleRows
+from pudroid.features import DatasetError, FeatureSpace, PUDataset, SampleRows
 from pudroid.ingest import (
     KIND_TAGS,
-    Group,
     ManifestRow,
     ParseError,
     build_dataset,
@@ -74,27 +73,20 @@ def resolve_urls(
     return out
 
 
-_KIND_BY_TAG = {
-    "permission": FeatureKind.PERMISSION,
-    "api": FeatureKind.API,
-    "ip": FeatureKind.IP_ADDRESS,
-}
-
-
-def feature_pairs(lines: Iterable[RawFeatureLine]) -> set[tuple[str, FeatureKind]]:
+def feature_pairs(lines: Iterable[RawFeatureLine]) -> set[tuple[str, str]]:
     """(name, kind) pairs after IP truncation; url lines must be resolved first."""
-    pairs: set[tuple[str, FeatureKind]] = set()
+    pairs: set[tuple[str, str]] = set()
     for line in lines:
         if line.kind_tag == "url":
             raise ParseError("url lines must be resolved before vectorization")
         name = truncate_ip(line.value) if line.kind_tag == "ip" else line.value
-        pairs.add((name, _KIND_BY_TAG[line.kind_tag]))
+        pairs.add((name, line.kind_tag))
     return pairs
 
 
 def reference_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
     pairs = feature_pairs(resolve_urls(parse_feature_file(text), resolver))
-    return {(kind.value, name) for name, kind in pairs}
+    return {(kind, name) for name, kind in pairs}
 
 
 def outcome(parse, *args):
@@ -139,16 +131,16 @@ FILES = st.lists(feature_lines(), max_size=12).map(lambda lines: "\n".join(lines
 
 
 def ingest_keys(text: str, resolver: dict[str, str]) -> set[tuple[str, str]]:
-    """The (kind value, name) keys of the space of a one-app ingest of `text`."""
+    """The (kind, name) keys of the space of a one-app ingest of `text`."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "app.txt").write_text(text, encoding="utf-8")
-        ds = build_dataset([ManifestRow("app", "app.txt", Group.POSITIVE)], resolver, tmp)
+        ds = build_dataset([ManifestRow("app", "app.txt", "positive")], resolver, tmp)
     return set(ds.space.index_of())
 
 
 def one_app(build, text: str):
     """ingest_outcome of build on a manifest of one positive app with file `text`."""
-    return ingest_outcome(build, [text], [Group.POSITIVE])
+    return ingest_outcome(build, [text], ["positive"])
 
 
 class TestFeatureKeysOracle:
@@ -208,7 +200,8 @@ class TestTruncateIp:
         assert truncate_ip("0.0.0.255") == "0.0.0.x"
 
     @pytest.mark.parametrize(
-        "bad", ["1.2.3", "1.2.3.4.5", "a.b.c.d", "1.2.3.256", "", "1.2.3.\u00b2", "\u0661.2.3.4"]
+        "bad", ["1.2.3", "1.2.3.4.5", "a.b.c.d", "1.2.3.256", "", "1.2.3.\u00b2", "\u0661.2.3.4",
+                "1.2.03.4", "001.2.3.4", "1.2.3.+4", "1.2. 3.4", "1.2.3.0x4"]
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
@@ -275,8 +268,8 @@ class TestManifest:
         p.write_text("app_id,path,group\nmal-1,a.txt,positive\nben-1,b.txt,unlabeled\n")
         rows = load_manifest(p)
         assert rows == [
-            ManifestRow("mal-1", "a.txt", Group.POSITIVE),
-            ManifestRow("ben-1", "b.txt", Group.UNLABELED),
+            ManifestRow("mal-1", "a.txt", "positive"),
+            ManifestRow("ben-1", "b.txt", "unlabeled"),
         ]
 
     def test_rejects_wrong_header(self, tmp_path):
@@ -314,7 +307,7 @@ class TestManifest:
     def test_blank_lines_are_skipped(self, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text("app_id,path,group\n\na, a.txt ,Positive\n\n")
-        assert load_manifest(p) == [ManifestRow("a", "a.txt", Group.POSITIVE)]
+        assert load_manifest(p) == [ManifestRow("a", "a.txt", "positive")]
 
 
 def _write_corpus(tmp_path):
@@ -346,7 +339,7 @@ class TestBuildDataset:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("app_id,path,group\napp-a,a.txt,positive\napp-b,b.txt,unlabeled\n")
         ds = build_dataset(load_manifest(manifest), {}, tmp_path)
-        assert ds.space.features == (("foo", FeatureKind.API), ("foo", FeatureKind.PERMISSION))
+        assert ds.space.features == (("foo", "api"), ("foo", "permission"))
         assert row_lists(ds.positives) == [[1]] and row_lists(ds.unlabeled) == [[0, 1]]
         save_dataset(ds, tmp_path / "ds.json")
         assert dataset_to_dict(load_dataset(tmp_path / "ds.json")) == dataset_to_dict(ds)
@@ -366,8 +359,8 @@ class TestBuildDataset:
     def test_io_and_parse_errors_keep_manifest_order(self, tmp_path):
         (tmp_path / "bad.txt").write_text("api::x\nbroken\n")
         rows = [
-            ManifestRow("a", "gone.txt", Group.POSITIVE),
-            ManifestRow("b", "bad.txt", Group.UNLABELED),
+            ManifestRow("a", "gone.txt", "positive"),
+            ManifestRow("b", "bad.txt", "unlabeled"),
         ]
         with pytest.raises(OSError, match="gone.txt"):
             build_dataset(rows, {}, tmp_path)
@@ -383,7 +376,7 @@ class TestBuildDataset:
         for i in range(400):
             lines = (f"api::Lcom/x/C{j};->m()V\n" for j in rnd.sample(range(1000), 250))
             (tmp_path / f"a{i}.txt").write_text("".join(lines))
-            group = Group.POSITIVE if i % 3 == 0 else Group.UNLABELED
+            group = "positive" if i % 3 == 0 else "unlabeled"
             manifest.append(ManifestRow(f"app-{i}", f"a{i}.txt", group))
         tracemalloc.start()
         try:
@@ -393,6 +386,9 @@ class TestBuildDataset:
             tracemalloc.stop()
         assert rows.ids[:3] == ("app-0", "app-3", "app-6")
         assert peak < 3 * (rows.indptr.nbytes + rows.indices.nbytes)  # 0.8 MB
+
+
+GROUPS = ("positive", "unlabeled")
 
 
 def reference_dataset(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:
@@ -405,14 +401,14 @@ def reference_dataset(texts: list[str], manifest: list[ManifestRow], base: Path)
         except ParseError as exc:
             raise ParseError(f"{base / row.path} (app {row.app_id!r}): {exc}") from None
     keys = sorted(set().union(*per_app))
-    space = FeatureSpace(tuple((name, _KIND_BY_TAG[kind]) for kind, name in keys))
+    space = FeatureSpace(tuple((name, kind) for kind, name in keys))
     index = space.index_of()
     rows = SampleRows.build(
         [row.app_id for row in manifest],
         [sorted(index[key] for key in keys) for keys in per_app],
         [-1] * len(manifest),
     )
-    groups = [[i for i, row in enumerate(manifest) if row.group is g] for g in Group]
+    groups = [[i for i, row in enumerate(manifest) if row.group == g] for g in GROUPS]
     return dataset_to_dict(PUDataset(space, rows.take(groups[0] + groups[1]), len(groups[0])))
 
 
@@ -420,7 +416,7 @@ def ingested(texts: list[str], manifest: list[ManifestRow], base: Path) -> dict:
     return dataset_to_dict(build_dataset(manifest, RESOLVER, base))
 
 
-def ingest_outcome(build, texts: list[str], groups: list[Group]):
+def ingest_outcome(build, texts: list[str], groups: list[str]):
     """What build(texts, manifest, base) returns once the files are written, or
     the message of the ParseError it raises."""
     manifest = [ManifestRow(f"app-{i}", f"f{i}.txt", g) for i, g in enumerate(groups)]
@@ -460,7 +456,7 @@ class TestBuildDatasetOracle:
     def test_same_dataset_or_same_error_as_per_file_reference(self, data):
         texts = data.draw(corpora())
         n = len(texts)
-        groups = data.draw(st.lists(st.sampled_from(Group), min_size=n, max_size=n))
+        groups = data.draw(st.lists(st.sampled_from(GROUPS), min_size=n, max_size=n))
         expected = ingest_outcome(reference_dataset, texts, groups)
         assert ingest_outcome(ingested, texts, groups) == expected
 
@@ -471,7 +467,7 @@ class TestBuildDatasetOracle:
         texts = [
             "api::a\nurl::a.example\n", f"api::a\n{bad}\nurl::b.example\n", f"{bad}\napi::b\n"
         ]
-        groups = [Group.POSITIVE, Group.UNLABELED, Group.UNLABELED]
+        groups = ["positive", "unlabeled", "unlabeled"]
         got = ingest_outcome(ingested, texts, groups)
         assert got.startswith("ParseError: <base>/f1.txt (app 'app-1'): ")
         assert got == ingest_outcome(reference_dataset, texts, groups)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pudroid import protocols
-from pudroid.classifiers import ForestParams, Learner, LinearParams, TrainConfig
+from pudroid.classifiers import ForestParams, LinearParams, TrainConfig
 from pudroid.protocols import (
     ProtocolError,
     protocol_rq1,
@@ -26,7 +26,7 @@ SPEC = SyntheticSpec(
     seed=2,
 )
 CFG = TrainConfig(
-    learner=Learner.LINEAR,
+    learner="linear",
     linear=LinearParams(1.0, 200, 1e-3),
     forest=ForestParams(n_trees=5),
 )
@@ -104,7 +104,7 @@ class TestRq1:
 class TestRq2:
     def test_rows_cover_ratio_learner_grid(self, base):
         report = protocol_rq2(
-            base, [1.0, 2.0], CFG, seed=0, learners=(Learner.LINEAR, Learner.TREE)
+            base, [1.0, 2.0], CFG, seed=0, learners=("linear", "tree")
         )
         assert [r.condition for r in report.rows] == [
             "1:1/linear", "1:1/tree", "2:1/linear", "2:1/tree",
@@ -115,10 +115,10 @@ class TestRq2:
 
     def test_negative_ratio_is_an_error(self, base):
         with pytest.raises(ProtocolError):
-            protocol_rq2(base, [-1.0], CFG, seed=0, learners=(Learner.LINEAR,))
+            protocol_rq2(base, [-1.0], CFG, seed=0, learners=("linear",))
 
     def test_zero_ratio_means_clean(self, base):
-        report = protocol_rq2(base, [0.0], CFG, seed=0, learners=(Learner.LINEAR,))
+        report = protocol_rq2(base, [0.0], CFG, seed=0, learners=("linear",))
         row = report.rows[0]
         assert abs(row.pu.accuracy - row.npu.accuracy) <= 0.02
         assert abs(row.pu.auc - row.npu.auc) <= 0.01
@@ -150,14 +150,14 @@ class TestRq3:
 class TestRq4:
     def test_rows_per_learner(self, base):
         report = protocol_rq4(
-            base, CFG, ratio=2.0, seed=0, learners=(Learner.LINEAR, Learner.TREE)
+            base, CFG, ratio=2.0, seed=0, learners=("linear", "tree")
         )
         assert [r.condition for r in report.rows] == ["2:1/linear", "2:1/tree"]
         assert report.config["learners"] == ["linear", "tree"]
         assert "learner" not in report.config["train"]
 
     def test_clean_case_matches_no_pu_baseline(self, base):
-        report = protocol_rq4(base, CFG, ratio=0.0, seed=0, learners=(Learner.LINEAR,))
+        report = protocol_rq4(base, CFG, ratio=0.0, seed=0, learners=("linear",))
         row = report.rows[0]
         assert abs(row.pu.accuracy - row.npu.accuracy) <= 0.01
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import dataset_from_rows, matrix_of, random_dataset
 from pudroid import pu
 from pudroid.classifiers import (
-    Learner,
     LinearParams,
     ProbabilisticClassifier,
     TrainConfig,
@@ -165,7 +164,7 @@ def contaminated():
 
 @pytest.fixture(scope="module")
 def cfg():
-    return TrainConfig(learner=Learner.LINEAR, linear=LinearParams(1.0, 300, 1e-3))
+    return TrainConfig(learner="linear", linear=LinearParams(1.0, 300, 1e-3))
 
 
 class TestCleanAndRetrain:
@@ -241,12 +240,12 @@ class TestCleanProperty:
         cfg=st.one_of(
             st.builds(
                 lambda lr, epochs: TrainConfig(
-                    learner=Learner.LINEAR, linear=LinearParams(lr, epochs)
+                    learner="linear", linear=LinearParams(lr, epochs)
                 ),
                 st.floats(min_value=1e-3, max_value=1e4),
                 st.integers(1, 50),
             ),
-            st.just(TrainConfig(learner=Learner.TREE, tree=TreeParams(min_leaf=1))),
+            st.just(TrainConfig(learner="tree", tree=TreeParams(min_leaf=1))),
         ),
     )
     def test_finite_diagnostics_or_value_error(self, seed, n_p, n_u, d, cfg):

@@ -75,7 +75,7 @@ class TestGeneration:
         # at d = 50: blocks of one row, of 7 and 50 rows (which divide neither
         # class's 120 and 240 rows), and of a whole class
         whole = dataset_to_dict(generate_synthetic(SMALL).dataset)
-        with mock.patch.object(pudroid.synthetic, "_DRAW_BLOCK", block):
+        with mock.patch.object(pudroid.synthetic, "_CHUNK", block):
             assert dataset_to_dict(generate_synthetic(SMALL).dataset) == whole
 
     def test_peak_is_about_twice_what_it_keeps(self):
